@@ -12,7 +12,7 @@ from _bench_util import print_table
 from repro.config import PCMConfig
 from repro.sim.engine import run_trace
 from repro.sim.memory_system import MemoryController
-from repro.sim.trace import uniform_random_trace
+from repro.sim.trace import TraceSpec
 from repro.wearlevel.rbsg import RegionBasedStartGap
 from repro.wearlevel.security_refresh import SecurityRefresh
 from repro.core.security_rbsg import SecurityRBSG
@@ -25,7 +25,7 @@ def amplification(scheme) -> float:
     config = PCMConfig(n_lines=N_LINES, endurance=1e12)
     controller = MemoryController(scheme, config)
     result = run_trace(
-        controller, uniform_random_trace(N_LINES, n_writes=WRITES, rng=0)
+        controller, TraceSpec("uniform", N_LINES, n_writes=WRITES, seed=0)
     )
     return result.write_amplification - 1.0
 

@@ -24,7 +24,7 @@ from repro.campaign.tasks import build_scheme
 from repro.config import PCMConfig
 from repro.sim.engine import run_trace, run_trace_fast
 from repro.sim.memory_system import MemoryController
-from repro.sim.trace import uniform_random_chunks, uniform_random_trace
+from repro.sim.trace import TraceSpec
 
 N_LINES = 1 << 16  # 64Ki lines
 N_WRITES = 400_000
@@ -37,8 +37,7 @@ def _measure(scheme_name, fast):
     config = PCMConfig(n_lines=N_LINES, endurance=1e15)
     scheme = build_scheme(scheme_name, N_LINES, SEED, {"interval": 100})
     controller = MemoryController(scheme, config)
-    maker = uniform_random_chunks if fast else uniform_random_trace
-    trace = maker(N_LINES, N_WRITES, rng=SEED)
+    trace = TraceSpec("uniform", N_LINES, N_WRITES, seed=SEED, batch=4096)
     driver = run_trace_fast if fast else run_trace
     start = time.perf_counter()
     result = driver(controller, trace)

@@ -31,7 +31,7 @@ from _bench_util import print_table
 from repro.campaign.tasks import build_scheme
 from repro.config import PCMConfig
 from repro.sim.engine import run_trace_fast
-from repro.sim.fastforward import TraceSpec
+from repro.sim.trace import TraceSpec
 from repro.sim.memory_system import MemoryController
 
 SEED = 7

@@ -14,7 +14,7 @@ from repro.config import PCMConfig
 from repro.core.security_rbsg import SecurityRBSG
 from repro.sim.engine import run_trace
 from repro.sim.memory_system import MemoryController
-from repro.sim.trace import zipf_trace
+from repro.sim.trace import TraceSpec
 from repro.wearlevel.nowl import NoWearLeveling
 from repro.wearlevel.startgap import StartGap
 from repro.wearlevel.two_level_sr import TwoLevelSecurityRefresh
@@ -28,7 +28,8 @@ def lifetime_under_zipf(scheme) -> float:
     config = PCMConfig(n_lines=N_LINES, endurance=ENDURANCE)
     controller = MemoryController(scheme, config)
     result = run_trace(
-        controller, zipf_trace(N_LINES, alpha=1.2, rng=7), max_writes=BUDGET
+        controller, TraceSpec("zipf", N_LINES, alpha=1.2, seed=7),
+        max_writes=BUDGET,
     )
     return result.user_writes if result.failed else float(BUDGET)
 

@@ -22,7 +22,7 @@ from repro.campaign.tasks import build_scheme
 from repro.config import PCMConfig
 from repro.sim.engine import run_trace, run_trace_fast
 from repro.sim.memory_system import MemoryController
-from repro.traffic import mixed_spec, open_trace_chunks, open_trace_entries
+from repro.traffic import mixed_spec, open_trace_chunks
 
 N_LINES = 1 << 12
 N_WRITES = 150_000
@@ -37,16 +37,15 @@ def _controller():
     return MemoryController(scheme, config)
 
 
-def _mixer_traffic(fast):
+def _mixer_traffic():
     mixer = mixed_spec(1000, churn_interval=40_000).build_mixer(
         N_LINES, SEED
     )
-    return mixer.chunks() if fast else mixer.entries()
+    return mixer.chunks()
 
 
-def _rbt_traffic(fast):
-    opener = open_trace_chunks if fast else open_trace_entries
-    return opener(RBT, n_lines=N_LINES)
+def _rbt_traffic():
+    return open_trace_chunks(RBT, n_lines=N_LINES)
 
 
 SOURCES = {
@@ -60,7 +59,7 @@ def _measure(source, fast):
     controller = _controller()
     driver = run_trace_fast if fast else run_trace
     start = time.perf_counter()
-    result = driver(controller, maker(fast), max_writes=max_writes)
+    result = driver(controller, maker(), max_writes=max_writes)
     elapsed = time.perf_counter() - start
     return result, controller.array.wear.copy(), elapsed
 

@@ -23,7 +23,7 @@ from repro import (
 )
 from repro.pcm.stats import WearStats
 from repro.sim.engine import run_trace
-from repro.sim.trace import zipf_trace
+from repro.sim.trace import TraceSpec
 
 N_LINES = 2**9
 ENDURANCE = 2e4
@@ -52,7 +52,7 @@ for name, factory in SCHEMES.items():
     controller = MemoryController(factory(), config)
     result = run_trace(
         controller,
-        zipf_trace(N_LINES, alpha=1.2, rng=7),
+        TraceSpec("zipf", N_LINES, alpha=1.2, seed=7),
         max_writes=BUDGET,
     )
     gini = WearStats.from_wear(controller.array.wear).gini
@@ -65,15 +65,13 @@ print("\nWith 25% per-line endurance variation (weak lines), uniform "
       "round-robin traffic:")
 print(f"{'scheme':>14} | {'writes to failure':>18} | {'of ideal':>8}")
 print("-" * 48)
-from repro.sim.trace import sequential_trace
-
 for name, factory in SCHEMES.items():
     config = PCMConfig(n_lines=N_LINES, endurance=ENDURANCE)
     controller = MemoryController(
         factory(), config, endurance_variation=0.25, rng=3
     )
     result = run_trace(
-        controller, sequential_trace(N_LINES), max_writes=BUDGET
+        controller, TraceSpec("sequential", N_LINES), max_writes=BUDGET
     )
     writes = result.user_writes if result.failed else BUDGET
     label = f"{writes}" if result.failed else f">{BUDGET}"

@@ -35,11 +35,7 @@ from repro.campaign.tasks import build_scheme  # noqa: E402
 from repro.config import PCMConfig  # noqa: E402
 from repro.sim.engine import run_trace, run_trace_fast  # noqa: E402
 from repro.sim.memory_system import MemoryController  # noqa: E402
-from repro.traffic import (  # noqa: E402
-    mixed_spec,
-    open_trace_chunks,
-    open_trace_entries,
-)
+from repro.traffic import mixed_spec, open_trace_chunks  # noqa: E402
 
 OUT_DIR = REPO / "build" / "trace-smoke"
 CSV_FIXTURE = REPO / "tests" / "data" / "msr_sample.csv"
@@ -83,7 +79,7 @@ def step_replay_bit_identity(rbt: Path) -> None:
     )
     scalar_ctrl = controller(endurance=100)
     scalar = run_trace(
-        scalar_ctrl, open_trace_entries(rbt, n_lines=N_LINES)
+        scalar_ctrl, open_trace_chunks(rbt, n_lines=N_LINES)
     )
     assert fast == scalar, (fast, scalar)
     assert np.array_equal(fast_ctrl.array.wear, scalar_ctrl.array.wear)
@@ -101,7 +97,7 @@ def step_tenant_mix() -> None:
     fast_ctrl = controller(endurance=400)
     fast = run_trace_fast(fast_ctrl, mixer.chunks(), max_writes=60_000)
     scalar_ctrl = controller(endurance=400)
-    scalar = run_trace(scalar_ctrl, mixer.entries(), max_writes=60_000)
+    scalar = run_trace(scalar_ctrl, mixer.chunks(), max_writes=60_000)
     assert fast == scalar, (fast, scalar)
     assert np.array_equal(fast_ctrl.array.wear, scalar_ctrl.array.wear)
 

@@ -26,7 +26,7 @@ from repro.analysis.ballsbins import dwells_to_max_load
 from repro.config import PCMConfig, RBSGConfig, SecurityRBSGConfig, SRConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.engine import FastTrace
+    from repro.sim.trace import Trace
     from repro.wearlevel.base import WearLeveler
 
 
@@ -178,7 +178,7 @@ def raa_security_rbsg_lifetime_ns(
 def measured_lifetime_ns(
     scheme: "WearLeveler",
     pcm: PCMConfig,
-    trace: "FastTrace",
+    trace: "Trace",
     max_writes: int = 10_000_000,
     fast: bool = True,
     fast_forward: str = "auto",
@@ -195,7 +195,7 @@ def measured_lifetime_ns(
     back to it automatically where chunking does not apply.
 
     ``fast_forward`` selects the third, analytic tier when ``trace`` is a
-    :class:`~repro.sim.fastforward.TraceSpec`: ``"auto"`` (default)
+    :class:`~repro.sim.trace.TraceSpec`: ``"auto"`` (default)
     engages it only at paper scale, where it is within the documented
     error bound of the closed forms above (see docs/performance.md) and
     the chunk engine would take hours; ``"off"`` forces chunk-exact;
@@ -209,15 +209,11 @@ def measured_lifetime_ns(
     writes — a lifetime measurement must end in a failure.
     """
     from repro.sim.engine import run_trace, run_trace_fast
-    from repro.sim.fastforward import TraceSpec
     from repro.sim.memory_system import MemoryController
-    from repro.sim.trace import trace_entries
 
     controller = MemoryController(
         scheme, pcm, n_shards=n_shards, memmap_dir=memmap_dir
     )
-    if not fast and not isinstance(trace, TraceSpec):
-        trace = trace_entries(trace)
     if fast:
         result = run_trace_fast(
             controller, trace, max_writes=max_writes, fast_forward=fast_forward

@@ -27,7 +27,8 @@ from typing import TYPE_CHECKING
 from repro.config import PCMConfig, SecurityRBSGConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.engine import FastTrace, SimulationResult
+    from repro.sim.engine import SimulationResult
+    from repro.sim.trace import Trace
     from repro.wearlevel.base import WearLeveler
 
 
@@ -79,7 +80,7 @@ def security_rbsg_overhead(
 def measured_write_overhead(
     scheme: "WearLeveler",
     pcm: PCMConfig,
-    trace: "FastTrace",
+    trace: "Trace",
     max_writes: int,
     fast: bool = True,
 ) -> "SimulationResult":
@@ -95,10 +96,7 @@ def measured_write_overhead(
     """
     from repro.sim.engine import run_trace, run_trace_fast
     from repro.sim.memory_system import MemoryController
-    from repro.sim.trace import trace_entries
 
     controller = MemoryController(scheme, pcm, raise_on_failure=False)
-    if not fast:
-        trace = trace_entries(trace)
     driver = run_trace_fast if fast else run_trace
     return driver(controller, trace, max_writes=max_writes)

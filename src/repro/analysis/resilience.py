@@ -84,14 +84,14 @@ def run_fault_campaign(
     read-disturb / ECP-correction path.  Scheme construction, workload
     addresses/data and fault draws all derive from ``seed``.
     """
-    from repro.experiments import SCHEME_FACTORIES
+    from repro.campaign.tasks import SCHEME_NAMES, build_scheme
 
-    if scheme_name not in SCHEME_FACTORIES:
+    if scheme_name not in SCHEME_NAMES:
         raise ValueError(
             f"unknown scheme {scheme_name!r}; "
-            f"choose from {sorted(SCHEME_FACTORIES)}"
+            f"choose from {sorted(SCHEME_NAMES)}"
         )
-    scheme = SCHEME_FACTORIES[scheme_name](config.n_lines, seed)
+    scheme = build_scheme(scheme_name, config.n_lines, seed, {})
     controller = SparingController(
         scheme,
         config,

@@ -2,7 +2,7 @@
 
 A *task function* maps ``(params, seed) -> JSON-able result dict``.  It
 runs inside worker processes, so it must be a module-level function and
-both its inputs and outputs must survive pickling/JSON.  Four kinds
+both its inputs and outputs must survive pickling/JSON.  These kinds
 ship with the library:
 
 * ``lifetime`` — closed-form paper-scale lifetime of a (scheme, attack)
@@ -11,15 +11,18 @@ ship with the library:
   simulator and report the attack outcome plus the wear Gini.  This is
   the inner loop of the ``matrix`` subcommand and of
   :func:`repro.experiments.attack_matrix`.
-* ``trace-lifetime`` — drive one scheme with one synthetic trace
-  (uniform / zipf / sequential / raa) — or, with a ``trace_file``
-  parameter, a loaded real trace (CSV or ``.rbt``) — to failure or
-  budget on the batched engine
-  (:func:`repro.sim.engine.run_trace_fast`); measured lifetime and
-  write overhead rather than closed-form.
-* ``tenant-lifetime`` — drive one scheme with multi-tenant mixed
-  traffic (:class:`repro.traffic.TenantMixer`): a grid point over
-  tenant count × skew × churn, measured on the batched engine.
+* ``trace-lifetime`` — the one measured-lifetime task: drive one scheme
+  with one workload — a synthetic trace (uniform / zipf / sequential /
+  raa), a loaded real trace (``trace_file``, CSV or ``.rbt``) or
+  multi-tenant mixed traffic (``tenants`` / ``profile``) — to failure
+  or budget on the batched, scalar or analytic fast-forward engine
+  (:func:`run_trace_lifetime_task`); measured lifetime and write
+  overhead rather than closed-form.
+* ``lifetime-ff`` and ``tenant-lifetime`` — the same task with its
+  historical defaults filled in (paper scale on the analytic tier; the
+  1000-tenant mixed population).  They stay registered so the
+  ``key_id`` of a stored campaign point (which hashes the kind name)
+  and existing campaign specs keep resolving.
 * ``faults``   — one seeded fault-injection campaign
   (:func:`repro.analysis.resilience.run_fault_campaign`); the PR-1
   sweep, gridded.
@@ -166,15 +169,24 @@ def run_lifetime_task(
 
 # ------------------------------------------------------------- simulate
 
+#: Every scheme :func:`build_scheme` constructs, in presentation order.
+SCHEME_NAMES = (
+    "none", "start-gap", "table", "random-swap", "rbsg", "sr",
+    "multiway-sr", "two-level-sr", "security-rbsg",
+)
+
 
 def build_scheme(
     name: str, n_lines: int, seed: int, params: Mapping[str, Scalar]
 ) -> "WearLeveler":
     """Construct one wear-leveling scheme instance by short name.
 
-    Defaults match :data:`repro.experiments.SCHEME_FACTORIES` exactly;
-    ``regions`` / ``interval`` / ``outer`` / ``stages`` parameters
-    override them (the knobs ``repro simulate`` has always exposed).
+    The one scheme factory: campaign tasks, the CLI, the attack matrix
+    and the fault campaigns all build their schemes here.  Defaults are
+    interval 16, 8 regions, outer interval ``2 * interval`` and 7 DFN
+    stages; the ``regions`` / ``interval`` / ``outer`` / ``stages``
+    parameters override them (the knobs ``repro simulate`` has always
+    exposed).
     """
     from repro.core.security_rbsg import SecurityRBSG
     from repro.wearlevel import (
@@ -283,139 +295,57 @@ def run_simulate_task(
     }
 
 
-# ------------------------------------------------------- trace lifetime
+# ---------------------------------------------------- measured lifetime
 
 
 def run_trace_lifetime_task(
     params: Mapping[str, Scalar], seed: int
 ) -> Dict[str, object]:
-    """Measured lifetime / write overhead of one (scheme, trace) point.
+    """Measured lifetime / write overhead of one (scheme, workload) point.
 
-    Drives the exact simulator with a synthetic trace — or, when the
-    ``trace_file`` parameter names a CSV / ``.rbt`` file, a loaded real
-    trace — until failure or the ``max_writes`` budget, on the batched
-    engine by default (``fast = false`` selects the scalar reference;
-    both are bit-identical, see :mod:`repro.sim.engine`).
+    The one measured-lifetime task: it builds the device, scheme and
+    controller, drives them with one workload until failure or the
+    ``max_writes`` budget, and reports the simulator's own counts rather
+    than a closed form.  The workload is picked from the parameters:
+
+    * ``trace_file`` — a loaded real trace (CSV or ``.rbt``, windowed by
+      ``line_bytes`` / ``window_start`` / ``window_mode``);
+    * ``tenants`` or ``profile`` — multi-tenant mixed traffic
+      (:class:`repro.traffic.TenantMixer`), from a spec file or the
+      standard mixed population (:func:`repro.traffic.mixed_spec`) over
+      the ``tenants`` / ``alpha`` / ``churn_*`` / ``schedule_interval``
+      knobs; all tenant randomness descends from the task seed, so
+      serial and parallel campaign runs are byte-identical;
+    * otherwise ``trace`` — a synthetic
+      :class:`~repro.sim.trace.TraceSpec` kind (uniform / zipf /
+      sequential / raa, with ``alpha`` and ``target``).
+
+    The engine is the batched one (:func:`repro.sim.engine.run_trace_fast`)
+    unless ``fast = false`` selects the bit-identical scalar reference.
+    ``fast_forward`` (``auto`` / ``analytic`` / ``off``) names a
+    lifetime-to-failure run that may use the analytic tier: ``max_writes``
+    then defaults to unbounded, and the document reports the engine as
+    ``fast-forward:<mode>`` plus ``n_shards`` (0 = monolithic array;
+    ``memmap_dir`` backs the shards with files) and ``spares`` (spare
+    lines appended to the physical space).  The reported lifetime is the
+    paper's **first-failure** metric: retirement is a scalar-controller
+    feature (:class:`~repro.pcm.sparing.SparingController`), so the spare
+    pool sizes the array without extending it, and wear statistics
+    exclude the unworn spare tail.
     """
     from repro.pcm.stats import WearStats
     from repro.sim.engine import run_trace, run_trace_fast
     from repro.sim.memory_system import MemoryController
-    from repro.sim.trace import (
-        repeated_address_chunks,
-        repeated_address_trace,
-        sequential_chunks,
-        sequential_trace,
-        uniform_random_chunks,
-        uniform_random_trace,
-        zipf_chunks,
-        zipf_trace,
-    )
-    from repro.traffic.adapter import open_trace_chunks, open_trace_entries
 
     scheme_name = _str(params, "scheme")
-    trace_file = params.get("trace_file")
-    trace_name = _str(params, "trace") if trace_file is None else str(
-        params.get("trace", "file")
-    )
     n_lines = _int(params, "lines", 4096)
     endurance = _float(params, "endurance", 1e4)
-    max_writes = _int(params, "max_writes", 10_000_000)
-    alpha = _float(params, "alpha", 1.2)
-    target = _int(params, "target", 5)
     fast = bool(params.get("fast", True))
-
-    config = PCMConfig(n_lines=n_lines, endurance=endurance)
-    scheme = build_scheme(scheme_name, n_lines, seed, params)
-    controller = MemoryController(scheme, config)
-
-    # Chunked and scalar generators draw the identical RNG stream, so the
-    # engine choice cannot change the trace.
-    trace: Any
-    if trace_file is not None:
-        opener = open_trace_chunks if fast else open_trace_entries
-        trace = opener(
-            str(trace_file),
-            n_lines=n_lines,
-            line_bytes=_int(params, "line_bytes", 64),
-            window_start=_int(params, "window_start", 0),
-            window_mode=str(params.get("window_mode", "wrap")),
-        )
-    elif trace_name == "uniform":
-        trace = (uniform_random_chunks(n_lines, rng=seed) if fast
-                 else uniform_random_trace(n_lines, rng=seed))
-    elif trace_name == "zipf":
-        trace = (zipf_chunks(n_lines, alpha=alpha, rng=seed) if fast
-                 else zipf_trace(n_lines, alpha=alpha, rng=seed))
-    elif trace_name == "sequential":
-        trace = (sequential_chunks(n_lines) if fast
-                 else sequential_trace(n_lines))
-    elif trace_name == "raa":
-        trace = (repeated_address_chunks(target) if fast
-                 else repeated_address_trace(target))
-    else:
-        raise TaskError(
-            f"unknown trace kind {trace_name!r}; "
-            "expected uniform / zipf / sequential / raa"
-        )
-    driver = run_trace_fast if fast else run_trace
-    result = driver(controller, trace, max_writes=max_writes)
-    gini = WearStats.from_wear(controller.array.wear).gini
-    return {
-        "scheme": scheme_name,
-        "trace": trace_name,
-        "engine": "batched" if fast else "scalar",
-        "user_writes": result.user_writes,
-        "total_writes": result.total_writes,
-        "elapsed_ns": result.elapsed_ns,
-        "write_amplification": result.write_amplification,
-        "failed": result.failed,
-        "failed_pa": result.failed_pa,
-        "lifetime_seconds": result.lifetime_seconds,
-        "wear_gini": gini,
-    }
-
-
-def run_lifetime_ff_task(
-    params: Mapping[str, Scalar], seed: int
-) -> Dict[str, object]:
-    """Paper-scale measured lifetime on the analytic fast-forward tier.
-
-    The distributed counterpart of ``trace-lifetime`` for device sizes
-    where even the chunk-exact engine is too slow: the trace is described
-    by a :class:`~repro.sim.fastforward.TraceSpec` and the engine jumps
-    whole remapping rounds analytically, dropping back to chunk-exact
-    near end-of-life (see docs/performance.md).  Parameters mirror
-    ``trace-lifetime`` plus ``fast_forward`` (``auto`` / ``analytic`` /
-    ``off``), ``n_shards`` (0 = monolithic array), ``memmap_dir`` and
-    ``spares`` (spare lines appended to the physical space — dealt
-    round-robin across shards when sharded).
-
-    The reported lifetime is the paper's **first-failure** metric.
-    ``spares`` provisions the pool — the array (and any memmap files)
-    grows, which is what a fleet-partitioned campaign needs sized
-    correctly — but retirement is a scalar-controller feature
-    (:class:`~repro.pcm.sparing.SparingController`), so the pool does
-    not extend this metric.  Wear statistics exclude the unworn spare
-    tail.
-    """
-    from repro.pcm.stats import WearStats
-    from repro.sim.engine import run_trace_fast
-    from repro.sim.fastforward import TRACE_KINDS, TraceSpec
-    from repro.sim.memory_system import MemoryController
-
-    scheme_name = _str(params, "scheme")
-    trace_name = _str(params, "trace")
-    if trace_name not in TRACE_KINDS:
-        raise TaskError(
-            f"unknown trace kind {trace_name!r}; expected one of "
-            f"{sorted(TRACE_KINDS)}"
-        )
-    n_lines = _int(params, "lines", 1 << 23)
-    endurance = _float(params, "endurance", 1e8)
-    max_writes = params.get("max_writes")
-    mode = str(params.get("fast_forward", "auto"))
+    mode = params.get("fast_forward")
+    budget = params.get("max_writes", None if mode else 10_000_000)
     n_shards = _int(params, "n_shards", 0)
     memmap_dir = params.get("memmap_dir")
+    spares = _int(params, "spares", 0)
 
     config = PCMConfig(n_lines=n_lines, endurance=endurance)
     scheme = build_scheme(scheme_name, n_lines, seed, params)
@@ -425,109 +355,107 @@ def run_lifetime_ff_task(
         n_shards=n_shards if n_shards > 0 else None,
         memmap_dir=None if memmap_dir is None else str(memmap_dir),
     )
-    spares = _int(params, "spares", 0)
     if spares:
         controller.array.add_lines(spares)
+
+    trace, labels = _workload(params, n_lines, seed)
+    document: Dict[str, object] = {"scheme": scheme_name, **labels}
+    max_writes = None if budget is None else int(budget)
+    if not fast:
+        result = run_trace(controller, trace, max_writes=max_writes)
+    else:
+        result = run_trace_fast(controller, trace, max_writes=max_writes,
+                                fast_forward=str(mode or "off"))
+    if mode is None:
+        document["engine"] = "batched" if fast else "scalar"
+    else:
+        document.update(engine=f"fast-forward:{mode}", n_shards=n_shards,
+                        spares=spares)
+    wear = controller.array.wear
+    if spares:  # spare PAs are contiguous at the end and unworn
+        wear = wear[:-spares]
+    document.update(
+        user_writes=result.user_writes,
+        total_writes=result.total_writes,
+        elapsed_ns=result.elapsed_ns,
+        write_amplification=result.write_amplification,
+        failed=result.failed,
+        failed_pa=result.failed_pa,
+        lifetime_seconds=result.lifetime_seconds,
+        wear_gini=WearStats.from_wear(wear).gini,
+    )
+    return document
+
+
+def _workload(
+    params: Mapping[str, Scalar], n_lines: int, seed: int
+) -> Tuple[Any, Dict[str, object]]:
+    """The measured-lifetime task's trace and the document keys naming it."""
+    from repro.sim.trace import TRACE_KINDS, TraceSpec
+    from repro.traffic.adapter import open_trace_chunks
+    from repro.traffic.profiles import load_traffic_spec, mixed_spec
+
+    trace_file = params.get("trace_file")
+    if trace_file is not None:
+        trace = open_trace_chunks(
+            str(trace_file),
+            n_lines=n_lines,
+            line_bytes=_int(params, "line_bytes", 64),
+            window_start=_int(params, "window_start", 0),
+            window_mode=str(params.get("window_mode", "wrap")),
+        )
+        return trace, {"trace": str(params.get("trace", "file"))}
+    if "tenants" in params or "profile" in params:
+        profile = params.get("profile")
+        if profile is not None:
+            traffic = load_traffic_spec(str(profile))
+        else:
+            traffic = mixed_spec(
+                _int(params, "tenants", 1000),
+                alpha=_float(params, "alpha", 1.2),
+                churn_interval=_int(params, "churn_interval", 0),
+                churn_fraction=_float(params, "churn_fraction", 0.02),
+                churn_boost=_float(params, "churn_boost", 8.0),
+                schedule_interval=_int(params, "schedule_interval", 8192),
+            )
+        mixer = traffic.build_mixer(n_lines, seed)
+        return mixer.chunks(), {
+            "traffic": traffic.name,
+            "tenants": mixer.n_tenants,
+            "churn_interval": traffic.churn_interval,
+        }
+    kind = _str(params, "trace")
+    if kind not in TRACE_KINDS:
+        raise TaskError(
+            f"unknown trace kind {kind!r}; expected one of {TRACE_KINDS}"
+        )
     spec = TraceSpec(
-        kind=trace_name,
+        kind=kind,
         n_lines=n_lines,
-        n_writes=None,
         alpha=_float(params, "alpha", 1.2),
         target=_int(params, "target", 5),
         seed=seed,
     )
-    result = run_trace_fast(
-        controller,
-        spec,
-        max_writes=None if max_writes is None else int(max_writes),
-        fast_forward=mode,
-    )
-    wear = controller.array.wear
-    if spares:  # spare PAs are contiguous at the end and unworn
-        wear = wear[:-spares]
-    gini = WearStats.from_wear(wear).gini
-    return {
-        "scheme": scheme_name,
-        "trace": trace_name,
-        "engine": f"fast-forward:{mode}",
-        "n_shards": n_shards,
-        "spares": spares,
-        "user_writes": result.user_writes,
-        "total_writes": result.total_writes,
-        "elapsed_ns": result.elapsed_ns,
-        "write_amplification": result.write_amplification,
-        "failed": result.failed,
-        "failed_pa": result.failed_pa,
-        "lifetime_seconds": result.lifetime_seconds,
-        "wear_gini": gini,
-    }
+    return spec, {"trace": kind}
 
 
-# ------------------------------------------------------ tenant lifetime
+def run_lifetime_ff_task(
+    params: Mapping[str, Scalar], seed: int
+) -> Dict[str, object]:
+    """``lifetime-ff``: paper-scale defaults (2^23 lines, E = 1e8, auto
+    fast-forward) for :func:`run_trace_lifetime_task`."""
+    defaults: Dict[str, Scalar] = {
+        "lines": 1 << 23, "endurance": 1e8, "fast_forward": "auto"}
+    return run_trace_lifetime_task({**defaults, **params}, seed)
 
 
 def run_tenant_lifetime_task(
     params: Mapping[str, Scalar], seed: int
 ) -> Dict[str, object]:
-    """Measured lifetime of one (scheme, tenant population) grid point.
-
-    Builds a :class:`repro.traffic.TenantMixer` — from a spec file when
-    the ``profile`` parameter names one, otherwise the standard mixed
-    population (:func:`repro.traffic.mixed_spec`) over the ``tenants``
-    / ``alpha`` / ``churn_*`` knobs — and drives the simulator to
-    failure or budget.  All tenant randomness descends from the task
-    seed through ``derive_seed`` child streams, so results are
-    schedule-independent: serial and parallel campaign runs are
-    byte-identical.
-    """
-    from repro.pcm.stats import WearStats
-    from repro.sim.engine import run_trace, run_trace_fast
-    from repro.sim.memory_system import MemoryController
-    from repro.traffic.profiles import load_traffic_spec, mixed_spec
-
-    scheme_name = _str(params, "scheme")
-    n_lines = _int(params, "lines", 4096)
-    endurance = _float(params, "endurance", 1e4)
-    max_writes = _int(params, "max_writes", 10_000_000)
-    fast = bool(params.get("fast", True))
-
-    profile = params.get("profile")
-    if profile is not None:
-        spec = load_traffic_spec(str(profile))
-    else:
-        spec = mixed_spec(
-            _int(params, "tenants", 1000),
-            alpha=_float(params, "alpha", 1.2),
-            churn_interval=_int(params, "churn_interval", 0),
-            churn_fraction=_float(params, "churn_fraction", 0.02),
-            churn_boost=_float(params, "churn_boost", 8.0),
-            schedule_interval=_int(params, "schedule_interval", 8192),
-        )
-    mixer = spec.build_mixer(n_lines, seed)
-
-    config = PCMConfig(n_lines=n_lines, endurance=endurance)
-    scheme = build_scheme(scheme_name, n_lines, seed, params)
-    controller = MemoryController(scheme, config)
-
-    traffic: Any = mixer.chunks() if fast else mixer.entries()
-    driver = run_trace_fast if fast else run_trace
-    result = driver(controller, traffic, max_writes=max_writes)
-    gini = WearStats.from_wear(controller.array.wear).gini
-    return {
-        "scheme": scheme_name,
-        "traffic": spec.name,
-        "tenants": mixer.n_tenants,
-        "churn_interval": spec.churn_interval,
-        "engine": "batched" if fast else "scalar",
-        "user_writes": result.user_writes,
-        "total_writes": result.total_writes,
-        "elapsed_ns": result.elapsed_ns,
-        "write_amplification": result.write_amplification,
-        "failed": result.failed,
-        "failed_pa": result.failed_pa,
-        "lifetime_seconds": result.lifetime_seconds,
-        "wear_gini": gini,
-    }
+    """``tenant-lifetime``: the 1000-tenant mixed population by default,
+    for :func:`run_trace_lifetime_task`."""
+    defaults: Dict[str, Scalar] = {"tenants": 1000}
+    return run_trace_lifetime_task({**defaults, **params}, seed)
 
 
 # --------------------------------------------------------------- faults

@@ -158,10 +158,11 @@ def _lifetime_paper_scale(args: argparse.Namespace) -> int:
 
     Drives the requested scheme at the paper's device scale (2^23 lines,
     E = 1e8, a spare pool) on the analytic fast-forward engine, through
-    the same ``lifetime-ff`` task the distributed campaign runner uses —
-    one box, minutes instead of the chunk engine's hours.
+    the same measured-lifetime task the distributed campaign runner uses
+    (``lifetime-ff`` in a campaign spec) — one box, minutes instead of
+    the chunk engine's hours.
     """
-    from repro.campaign.tasks import get_task
+    from repro.campaign.tasks import run_trace_lifetime_task
 
     # Map the closed-form flag names onto build_scheme's parameter keys:
     # the sub-region schemes read their split/interval from --subregions
@@ -183,7 +184,7 @@ def _lifetime_paper_scale(args: argparse.Namespace) -> int:
     }
     if args.memmap_dir is not None:
         params["memmap_dir"] = args.memmap_dir
-    result = get_task("lifetime-ff")(params, args.seed)
+    result = run_trace_lifetime_task(params, args.seed)
     if args.json:
         print(json.dumps(result, sort_keys=True))
         return 0
@@ -202,67 +203,37 @@ def _lifetime_paper_scale(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.attacks import (
-        BirthdayParadoxAttack,
-        RBSGTimingAttack,
-        RepeatedAddressAttack,
-        SRTimingAttack,
-    )
-    from repro.sim.memory_system import MemoryController
-    from repro.wearlevel import (
-        NoWearLeveling,
-        RegionBasedStartGap,
-        SecurityRefresh,
-    )
-    from repro.core.security_rbsg import SecurityRBSG
+    from repro.campaign.tasks import TaskError, run_simulate_task
 
-    pcm = PCMConfig(n_lines=args.lines, endurance=args.endurance)
-    if args.scheme == "none":
-        scheme = NoWearLeveling(args.lines)
-    elif args.scheme == "rbsg":
-        scheme = RegionBasedStartGap(
-            args.lines, n_regions=args.regions,
-            remap_interval=args.interval, rng=args.seed,
-        )
-    elif args.scheme == "sr":
-        scheme = SecurityRefresh(
-            args.lines, remap_interval=args.interval, rng=args.seed
-        )
-    elif args.scheme == "security-rbsg":
-        scheme = SecurityRBSG(
-            args.lines, n_subregions=args.regions,
-            inner_interval=args.interval, outer_interval=2 * args.interval,
-            n_stages=args.stages, rng=args.seed,
-        )
-    else:
-        print(f"unknown scheme {args.scheme}", file=sys.stderr)
+    params = {
+        "scheme": args.scheme,
+        "attack": args.attack,
+        "lines": args.lines,
+        "endurance": args.endurance,
+        "regions": args.regions,
+        "interval": args.interval,
+        "stages": args.stages,
+        "target": args.target,
+        "budget": args.budget,
+    }
+    try:
+        result = run_simulate_task(params, args.seed)
+    except TaskError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    controller = MemoryController(scheme, pcm)
-
-    if args.attack == "raa":
-        attack = RepeatedAddressAttack(controller, target_la=args.target)
-    elif args.attack == "bpa":
-        attack = BirthdayParadoxAttack(controller, rng=args.seed)
-    elif args.attack == "rta" and args.scheme == "rbsg":
-        attack = RBSGTimingAttack(controller, target_la=args.target)
-    elif args.attack == "rta" and args.scheme == "sr":
-        attack = SRTimingAttack(controller, target_la=max(1, args.target))
-    else:
-        print(f"unsupported pair: {args.scheme} / {args.attack}",
-              file=sys.stderr)
-        return 2
-
-    result = attack.run(max_writes=args.budget)
-    print(f"scheme / attack : {args.scheme} / {result.attack}")
+    print(f"scheme / attack : {args.scheme} / {result['attack_label']}")
     print(f"device          : {args.lines} lines, E={args.endurance:g}")
-    if result.failed:
-        print(f"FAILED line {result.failed_pa} after {result.user_writes} "
-              f"attacker writes = {_fmt_duration(result.elapsed_ns)}")
+    elapsed_ns = float(result["elapsed_ns"])  # type: ignore[arg-type]
+    if result["failed"]:
+        print(f"FAILED line {result['failed_pa']} after "
+              f"{result['user_writes']} attacker writes = "
+              f"{_fmt_duration(elapsed_ns)}")
     else:
         print(f"survived the {args.budget}-write budget "
-              f"({_fmt_duration(result.elapsed_ns)})")
-    if result.detection_writes:
-        print(f"side-channel detection cost: {result.detection_writes} writes")
+              f"({_fmt_duration(elapsed_ns)})")
+    if result["detection_writes"]:
+        print(f"side-channel detection cost: {result['detection_writes']} "
+              "writes")
     return 0
 
 
@@ -400,7 +371,7 @@ def cmd_trace_info(args: argparse.Namespace) -> int:
 
 
 def cmd_traffic(args: argparse.Namespace) -> int:
-    from repro.campaign.tasks import TaskError, run_tenant_lifetime_task
+    from repro.campaign.tasks import TaskError, run_trace_lifetime_task
     from repro.traffic import TrafficSpecError
 
     params = {
@@ -425,7 +396,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
         params["churn_boost"] = args.churn_boost
         params["schedule_interval"] = args.schedule_interval
     try:
-        result = run_tenant_lifetime_task(params, args.seed)
+        result = run_trace_lifetime_task(params, args.seed)
     except (TaskError, TrafficSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,7 @@ comparable results.
 
 Example::
 
-    from repro.experiments import attack_matrix, SCHEME_FACTORIES
+    from repro.experiments import attack_matrix
 
     results = attack_matrix(
         n_lines=2**9, endurance=2e4,
@@ -22,48 +22,14 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.attacks import (
     AttackResult,
     RBSGTimingAttack,
     SRTimingAttack,
 )
-from repro.core.security_rbsg import SecurityRBSG
-from repro.wearlevel import (
-    MultiWaySR,
-    RandomSwapWearLeveling,
-    NoWearLeveling,
-    RegionBasedStartGap,
-    SecurityRefresh,
-    StartGap,
-    TableBasedWearLeveling,
-    TwoLevelSecurityRefresh,
-)
-
-#: Scheme constructors keyed by short name; each takes (n_lines, seed).
-SCHEME_FACTORIES: Dict[str, Callable[[int, int], object]] = {
-    "none": lambda n, seed: NoWearLeveling(n),
-    "start-gap": lambda n, seed: StartGap(n, remap_interval=16),
-    "table": lambda n, seed: TableBasedWearLeveling(n, swap_interval=16),
-    "random-swap": lambda n, seed: RandomSwapWearLeveling(
-        n, swap_interval=16, rng=seed
-    ),
-    "rbsg": lambda n, seed: RegionBasedStartGap(
-        n, n_regions=8, remap_interval=16, rng=seed
-    ),
-    "sr": lambda n, seed: SecurityRefresh(n, remap_interval=16, rng=seed),
-    "multiway-sr": lambda n, seed: MultiWaySR(
-        n, n_subregions=8, remap_interval=16, rng=seed
-    ),
-    "two-level-sr": lambda n, seed: TwoLevelSecurityRefresh(
-        n, n_subregions=8, inner_interval=16, outer_interval=32, rng=seed
-    ),
-    "security-rbsg": lambda n, seed: SecurityRBSG(
-        n, n_subregions=8, inner_interval=16, outer_interval=32,
-        n_stages=7, rng=seed,
-    ),
-}
+from repro.campaign.tasks import SCHEME_NAMES
 
 #: Attacks applicable to every scheme.
 GENERIC_ATTACKS = ("raa", "bpa", "aia")
@@ -128,8 +94,8 @@ def attack_matrix(
     """
     from repro.campaign import RunnerConfig, TaskKey, run_collect
 
-    scheme_names = list(schemes or SCHEME_FACTORIES)
-    unknown = set(scheme_names) - set(SCHEME_FACTORIES)
+    scheme_names = list(schemes or SCHEME_NAMES)
+    unknown = set(scheme_names) - set(SCHEME_NAMES)
     if unknown:
         raise ValueError(f"unknown schemes: {sorted(unknown)}")
     known_attacks = set(GENERIC_ATTACKS) | set(TIMING_ATTACKS)

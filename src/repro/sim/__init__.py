@@ -4,7 +4,13 @@ Three granularities, trading exactness for reach:
 
 * :mod:`repro.sim.memory_system` + :mod:`repro.sim.engine` — exact per-write
   simulation through a memory controller; the attacker sees true latencies
-  (the RTA side channel).  Used for tests, examples and small configs.
+  (the RTA side channel).  :func:`run_trace` is the scalar reference,
+  :func:`run_trace_fast` its bit-identical chunked twin, and
+  ``run_trace_fast(..., fast_forward=...)`` reaches the analytic
+  remap-round tier (:mod:`repro.sim.fastforward`).  Every driver takes
+  any trace granularity: a :class:`TraceSpec` — the one way to name a
+  synthetic trace — or a recorded chunk or entry stream
+  (:mod:`repro.sim.trace`).
 * :mod:`repro.sim.roundsim` — remapping-round-granularity vectorized
   simulators for Repeated Address Attack wear studies at paper scale
   (Figs. 14-16); validated against the exact engine at small scale.
@@ -15,9 +21,8 @@ from repro.sim.engine import (
     SimulationResult,
     run_trace,
     run_trace_fast,
-    run_until_failure,
 )
-from repro.sim.fastforward import TraceSpec, run_fast_forward
+from repro.sim.fastforward import run_fast_forward
 from repro.sim.memory_system import MemoryController
 from repro.sim.multibank import MultiBankSystem
 from repro.sim.roundsim import (
@@ -28,16 +33,9 @@ from repro.sim.roundsim import (
 )
 from repro.sim.trace import (
     TraceEntry,
-    repeated_address_chunks,
-    repeated_address_trace,
-    sequential_chunks,
-    sequential_trace,
+    TraceSpec,
     trace_chunks,
     trace_entries,
-    uniform_random_chunks,
-    uniform_random_trace,
-    zipf_chunks,
-    zipf_trace,
 )
 
 __all__ = [
@@ -48,18 +46,11 @@ __all__ = [
     "SecurityRBSGRAASim",
     "SimulationResult",
     "TraceEntry",
+    "TraceSpec",
     "TwoLevelSRRAASim",
-    "repeated_address_chunks",
-    "repeated_address_trace",
+    "run_fast_forward",
     "run_trace",
     "run_trace_fast",
-    "run_until_failure",
-    "sequential_chunks",
-    "sequential_trace",
     "trace_chunks",
     "trace_entries",
-    "uniform_random_chunks",
-    "uniform_random_trace",
-    "zipf_chunks",
-    "zipf_trace",
 ]

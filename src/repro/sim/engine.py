@@ -1,4 +1,4 @@
-"""Exact per-write simulation drivers and lifetime measurement.
+"""Exact per-write simulation drivers.
 
 Two drivers, one result type:
 
@@ -14,18 +14,14 @@ Two drivers, one result type:
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, Iterator, Optional, Tuple, Union
-
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Optional
 
 from repro.pcm.array import LineFailure
 from repro.pcm.timing import LineData
-from repro.sim.fastforward import TraceSpec, fast_forward_engaged, run_fast_forward
+from repro.sim.fastforward import fast_forward_engaged, run_fast_forward
 from repro.sim.memory_system import MemoryController
-from repro.sim.trace import TraceChunk, TraceEntry, trace_chunks
+from repro.sim.trace import Trace, TraceSpec, trace_chunks, trace_entries
 
 
 @dataclass(frozen=True)
@@ -53,16 +49,19 @@ class SimulationResult:
 
 def run_trace(
     controller: MemoryController,
-    trace: Union[Iterable[TraceEntry], TraceSpec],
+    trace: Trace,
     max_writes: Optional[int] = None,
 ) -> SimulationResult:
     """Drive the controller with ``trace`` until it ends, fails, or hits
-    ``max_writes`` user writes."""
-    if isinstance(trace, TraceSpec):
-        trace = trace.entries()
+    ``max_writes`` user writes.
+
+    ``trace`` may have any granularity; it is replayed one
+    :class:`~repro.sim.trace.TraceEntry` at a time through
+    :func:`repro.sim.trace.trace_entries`.
+    """
     user_writes = 0
     try:
-        for entry in trace:
+        for entry in trace_entries(trace):
             if max_writes is not None and user_writes >= max_writes:
                 break
             # reprolint: disable=REP002 trace replay; elapsed_ns accounts it
@@ -84,28 +83,9 @@ def run_trace(
     )
 
 
-FastTrace = Union[Iterable[TraceEntry], Iterable[TraceChunk], TraceSpec]
-
-
-def _as_chunks(trace: FastTrace, batch: int) -> Iterator[TraceChunk]:
-    """Accept any granularity: entry streams are batched, chunked streams
-    pass through untouched, trace specs expand to their chunk stream."""
-    if isinstance(trace, TraceSpec):
-        return trace.chunks()
-    it = iter(trace)
-    try:
-        first = next(it)
-    except StopIteration:
-        return iter(())
-    rest = chain([first], it)
-    if isinstance(first, TraceEntry):
-        return trace_chunks(rest, batch=batch)
-    return rest  # type: ignore[return-value]
-
-
 def run_trace_fast(
     controller: MemoryController,
-    trace: FastTrace,
+    trace: Trace,
     max_writes: Optional[int] = None,
     *,
     batch: int = 8192,
@@ -113,11 +93,11 @@ def run_trace_fast(
 ) -> SimulationResult:
     """Chunked twin of :func:`run_trace`; bit-identical results.
 
-    ``trace`` may be a scalar :class:`TraceEntry` stream (batched here
-    via :func:`repro.sim.trace.trace_chunks`), a native chunked stream
-    of ``(las, datas)`` arrays (e.g. ``uniform_random_chunks``), which
-    skips per-entry Python objects entirely, or a
-    :class:`~repro.sim.fastforward.TraceSpec` naming a distribution.
+    ``trace`` may have any granularity (see :func:`repro.sim.trace.
+    trace_chunks`): a :class:`~repro.sim.trace.TraceSpec` naming a
+    distribution, a native chunked stream of ``(las, datas)`` arrays,
+    which skips per-entry Python objects entirely, or a scalar
+    :class:`~repro.sim.trace.TraceEntry` stream, batched here.
 
     Each chunk is cut at remap boundaries by the scheme itself
     (``consume_chunk``); the boundary writes — and everything else when a
@@ -127,9 +107,9 @@ def run_trace_fast(
     precise failing write via ``LineFailure.chunk_index``.
 
     ``fast_forward`` selects the analytic third tier (requires a
-    :class:`TraceSpec` trace): ``"off"`` (default — preserves the
-    bit-identity contract above), ``"auto"`` (engage at paper-like scale
-    when the scheme and configuration allow; fall through to chunk-exact
+    ``TraceSpec`` trace): ``"off"`` (default — preserves the bit-identity
+    contract above), ``"auto"`` (engage at paper-like scale when the
+    scheme and configuration allow; fall through to chunk-exact
     otherwise), or ``"analytic"`` (engage whenever possible, for
     validation runs).  See :mod:`repro.sim.fastforward`.
     """
@@ -138,7 +118,7 @@ def run_trace_fast(
         return run_fast_forward(controller, trace, max_writes, batch=batch)
     user_writes = 0
     try:
-        for las, datas in _as_chunks(trace, batch):
+        for las, datas in trace_chunks(trace, batch):
             pos = 0
             size = int(las.size)
             while pos < size:
@@ -172,19 +152,3 @@ def run_trace_fast(
         elapsed_ns=controller.elapsed_ns,
         failed=False,
     )
-
-
-def run_until_failure(
-    controller: MemoryController,
-    trace: Iterable[TraceEntry],
-    max_writes: int = 10_000_000,
-) -> SimulationResult:
-    """Like :func:`run_trace` but raises if the stream outlives ``max_writes``
-    without wearing the device out — lifetime experiments must fail."""
-    result = run_trace(controller, trace, max_writes=max_writes)
-    if not result.failed:
-        raise RuntimeError(
-            f"device did not fail within {max_writes} writes; "
-            "increase max_writes or reduce endurance for this experiment"
-        )
-    return result

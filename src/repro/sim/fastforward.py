@@ -3,9 +3,10 @@
 The chunk engine (:func:`repro.sim.engine.run_trace_fast`) already exploits
 the static-mapping invariant *between remap events*; this module exploits it
 one level up: across whole remap **rounds** the wear a known trace
-distribution deposits has a closed form.  A :class:`TraceSpec` names that
-distribution (instead of materialising its writes), the scheme turns
-"``W`` writes of this spec" into a dense per-line wear increment
+distribution deposits has a closed form.  A
+:class:`~repro.sim.trace.TraceSpec` names that distribution (instead of
+materialising its writes), the scheme turns "``W`` writes of this spec"
+into a dense per-line wear increment
 (:meth:`repro.wearlevel.base.WearLeveler.round_wear_profile`), and
 :func:`run_fast_forward` commits increments of geometrically shrinking size
 until the remaining endurance headroom is too small to jump safely — then
@@ -20,17 +21,13 @@ fluctuations; the resulting lifetime error is O(sqrt(ln N / E)) relative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.pcm.timing import ALL1, LineData
-from repro.sim.trace import TraceChunk, TraceEntry
+from repro.sim.trace import TraceSpec
 from repro.util.rng import SeedLike, as_generator, derive_seed
 from repro.wearlevel.base import WearLeveler
-
-TRACE_KINDS = ("uniform", "zipf", "sequential", "raa")
 
 #: Auto policy: engage the analytic tier only at scales where the chunk
 #: engine is the bottleneck AND the statistical error bound is tight.
@@ -40,123 +37,6 @@ FF_AUTO_MIN_ENDURANCE = 100_000
 #: Target at most this fraction of the endurance headroom per round, so a
 #: Poisson overshoot (refused by apply_wear_bulk) stays improbable.
 HEADROOM_FRACTION = 0.5
-
-
-@dataclass
-class TraceSpec:
-    """A synthetic trace *by distribution*, not by materialised writes.
-
-    Stateful: :meth:`chunks` draws the same random stream as the matching
-    generator in :mod:`repro.sim.trace` (same seed, same batch), advancing
-    :attr:`pos`; the analytic driver instead *skips* writes with
-    :meth:`skip`, so a chunk-exact tail resumes exactly where the analytic
-    prefix left the trace position.
-
-    Every engine tier accepts a spec: the scalar and chunk engines expand
-    it through :meth:`chunks`/:meth:`entries`, the fast-forward driver
-    hands it to the scheme whole.
-    """
-
-    kind: str
-    n_lines: int
-    n_writes: Optional[int] = None
-    data: LineData = ALL1
-    alpha: float = 1.2
-    target: int = 0
-    seed: SeedLike = None
-    batch: int = 8192
-    pos: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        if self.kind not in TRACE_KINDS:
-            raise ValueError(
-                f"unknown trace kind {self.kind!r}; expected one of {TRACE_KINDS}"
-            )
-        if self.n_lines < 1:
-            raise ValueError("n_lines must be >= 1")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if self.kind == "zipf" and self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.kind == "raa" and not 0 <= self.target < self.n_lines:
-            raise ValueError(f"raa target {self.target} outside [0, {self.n_lines})")
-        self._gen: Optional[np.random.Generator] = None
-        self._weights: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------ queries
-
-    def remaining(self) -> Optional[int]:
-        """Writes left in the stream (None = unbounded)."""
-        if self.n_writes is None:
-            return None
-        return max(self.n_writes - self.pos, 0)
-
-    def weights(self) -> Optional[np.ndarray]:
-        """Per-LA write probabilities (zipf only; None = uniform/other)."""
-        if self.kind != "zipf":
-            return None
-        if self._weights is None:
-            ranks = np.arange(1, self.n_lines + 1, dtype=np.float64)
-            w = ranks ** (-self.alpha)
-            self._weights = w / w.sum()
-        return self._weights
-
-    # ----------------------------------------------------------- consume
-
-    def skip(self, n: int) -> None:
-        """Advance the trace position by ``n`` writes without drawing them.
-
-        Used by the analytic driver: the skipped writes' random draws are
-        never made (their aggregate effect was applied in closed form), so
-        a subsequent :meth:`chunks` tail continues the generator stream
-        from wherever it stood — sequential phase stays exact.
-        """
-        if n < 0:
-            raise ValueError("cannot skip a negative number of writes")
-        self.pos += n
-
-    def chunks(self) -> Iterator[TraceChunk]:
-        """Chunked ``(las, datas)`` stream from the current position.
-
-        At ``pos == 0`` this draws the identical stream as the matching
-        generator in :mod:`repro.sim.trace` for the same seed and batch —
-        which is what makes the small-scale equivalence suite's
-        bit-identity comparisons meaningful.
-        """
-        if self._gen is None:
-            self._gen = as_generator(self.seed)
-        gen = self._gen
-        datas_of = lambda size: np.full(size, int(self.data), dtype=np.int8)
-        while self.n_writes is None or self.pos < self.n_writes:
-            size = (
-                self.batch
-                if self.n_writes is None
-                else min(self.batch, self.n_writes - self.pos)
-            )
-            if self.kind == "uniform":
-                las = np.asarray(
-                    gen.integers(0, self.n_lines, size=size), dtype=np.int64
-                )
-            elif self.kind == "zipf":
-                las = np.asarray(
-                    gen.choice(self.n_lines, size=size, p=self.weights()),
-                    dtype=np.int64,
-                )
-            elif self.kind == "sequential":
-                las = (
-                    np.arange(self.pos, self.pos + size, dtype=np.int64)
-                    % self.n_lines
-                )
-            else:  # raa
-                las = np.full(size, self.target, dtype=np.int64)
-            self.pos += size
-            yield las, datas_of(size)
-
-    def entries(self) -> Iterator[TraceEntry]:
-        """Scalar :class:`TraceEntry` stream (for the scalar engine)."""
-        for las, _ in self.chunks():
-            for la in las.tolist():
-                yield TraceEntry(la=la, data=self.data)
 
 
 # --------------------------------------------------------------- policy

@@ -1,27 +1,29 @@
-"""Synthetic write-trace generators.
+"""Write traces: the entry record, the synthetic-trace spec, and the
+granularity adapters.
 
-Traces come in two granularities sharing one RNG draw discipline:
+A trace reaches an engine in one of three shapes:
 
-* *scalar* — lazy iterators of :class:`TraceEntry` (``la`` is always a
-  plain ``int``), the interface every attack and the scalar engine use;
-* *chunked* — iterators of ``(las, datas)`` numpy array pairs, what the
-  vectorized fast engine (:func:`repro.sim.engine.run_trace_fast`)
-  consumes without per-entry Python objects.
+* a :class:`TraceSpec` — a synthetic trace named by its distribution:
+  the benign uniform / skewed (zipf) / sequential traffic the paper's
+  discussion relies on, or the single-address stream of a Repeated
+  Address Attack.  It is the one way to build a synthetic trace;
+* a *chunked* stream of ``(las, datas)`` numpy array pairs — what
+  recorded traces (:mod:`repro.traffic`) yield and the vectorized fast
+  engine (:func:`repro.sim.engine.run_trace_fast`) consumes without
+  per-entry Python objects;
+* a *scalar* stream of :class:`TraceEntry` objects (``la`` always a plain
+  ``int``) — what attacks emit and the scalar engine replays.
 
-The scalar generators are thin loops over their chunked twins, so for the
-same seed and ``batch`` both granularities draw the *identical* random
-stream — an experiment can switch engines without changing its trace.
-
-They model the workload classes the paper's discussion relies on: benign
-uniform / skewed (zipf) / sequential traffic, and the degenerate
-single-address stream of a Repeated Address Attack.
+:func:`trace_chunks` and :func:`trace_entries` turn any of the three into
+the granularity an engine wants without changing the write stream, so an
+experiment can switch engines without changing its trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Any, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +31,8 @@ from repro.pcm.timing import ALL1, LineData
 from repro.util.rng import SeedLike, as_generator
 
 TraceChunk = Tuple[np.ndarray, np.ndarray]
+
+TRACE_KINDS = ("uniform", "zipf", "sequential", "raa")
 
 
 @dataclass(frozen=True)
@@ -39,98 +43,152 @@ class TraceEntry:
     data: LineData = ALL1
 
 
-# ------------------------------------------------------- chunked traces
+@dataclass
+class TraceSpec:
+    """A synthetic trace *by distribution*, not by materialised writes.
+
+    ``kind`` is one of :data:`TRACE_KINDS`: ``uniform`` random addresses;
+    ``zipf``, where rank ``r`` (0-based) is written with probability
+    proportional to ``(r+1)**-alpha`` and ranks are identity-mapped, so
+    address 0 is the hottest line; ``sequential`` round-robin over the
+    address space; or ``raa``, which hammers ``target``.
+    ``n_writes=None`` is unbounded.
+
+    Stateful: :meth:`chunks` draws ``batch`` addresses per chunk (one RNG
+    draw per chunk; for uniform and zipf the stream does not depend on
+    ``batch``), advancing :attr:`pos`; the analytic driver instead
+    *skips* writes with :meth:`skip`, so a chunk-exact tail resumes
+    exactly where the analytic prefix left the trace position.
+
+    Every engine tier accepts a spec: the scalar and chunk engines expand
+    it through :func:`trace_entries`/:func:`trace_chunks`, the
+    fast-forward driver hands it to the scheme whole.
+    """
+
+    kind: str
+    n_lines: int
+    n_writes: Optional[int] = None
+    data: LineData = ALL1
+    alpha: float = 1.2
+    target: int = 0
+    seed: SeedLike = None
+    batch: int = 8192
+    pos: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        if self.kind not in TRACE_KINDS:
+            raise ValueError(
+                f"unknown trace kind {self.kind!r}; expected one of {TRACE_KINDS}"
+            )
+        if self.n_lines < 1:
+            raise ValueError("n_lines must be >= 1")
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
+        if self.kind == "zipf" and self.alpha <= 0:
+            raise ValueError("alpha must be positive")
+        if self.kind == "raa" and not 0 <= self.target < self.n_lines:
+            raise ValueError(f"raa target {self.target} outside [0, {self.n_lines})")
+        self._gen: Optional[np.random.Generator] = None
+        self._weights: Optional[np.ndarray] = None
+
+    # ------------------------------------------------------------ queries
+
+    def remaining(self) -> Optional[int]:
+        """Writes left in the stream (None = unbounded)."""
+        if self.n_writes is None:
+            return None
+        return max(self.n_writes - self.pos, 0)
+
+    def weights(self) -> Optional[np.ndarray]:
+        """Per-LA write probabilities (zipf only; None = uniform/other)."""
+        if self.kind != "zipf":
+            return None
+        if self._weights is None:
+            ranks = np.arange(1, self.n_lines + 1, dtype=np.float64)
+            w = ranks ** (-self.alpha)
+            self._weights = w / w.sum()
+        return self._weights
+
+    # ----------------------------------------------------------- consume
+
+    def skip(self, n: int) -> None:
+        """Advance the trace position by ``n`` writes without drawing them.
+
+        Used by the analytic driver: the skipped writes' random draws are
+        never made (their aggregate effect was applied in closed form), so
+        a subsequent :meth:`chunks` tail continues the generator stream
+        from wherever it stood — sequential phase stays exact.
+        """
+        if n < 0:
+            raise ValueError("cannot skip a negative number of writes")
+        self.pos += n
+
+    def chunks(self) -> Iterator[TraceChunk]:
+        """Chunked ``(las, datas)`` stream from the current position."""
+        if self._gen is None:
+            self._gen = as_generator(self.seed)
+        gen = self._gen
+        datas_of = lambda size: np.full(size, int(self.data), dtype=np.int8)
+        while self.n_writes is None or self.pos < self.n_writes:
+            size = (
+                self.batch
+                if self.n_writes is None
+                else min(self.batch, self.n_writes - self.pos)
+            )
+            if self.kind == "uniform":
+                las = np.asarray(
+                    gen.integers(0, self.n_lines, size=size), dtype=np.int64
+                )
+            elif self.kind == "zipf":
+                las = np.asarray(
+                    gen.choice(self.n_lines, size=size, p=self.weights()),
+                    dtype=np.int64,
+                )
+            elif self.kind == "sequential":
+                las = (
+                    np.arange(self.pos, self.pos + size, dtype=np.int64)
+                    % self.n_lines
+                )
+            else:  # raa
+                las = np.full(size, self.target, dtype=np.int64)
+            self.pos += size
+            yield las, datas_of(size)
 
 
-def _sizes(n_writes: Optional[int], batch: int) -> Iterator[int]:
-    """Chunk sizes covering ``n_writes`` (or forever) in ``batch`` steps."""
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    count = 0
-    while n_writes is None or count < n_writes:
-        size = batch if n_writes is None else min(batch, n_writes - count)
-        yield size
-        count += size
+#: Anything an engine accepts as a trace.
+Trace = Union[TraceSpec, Iterable[TraceEntry], Iterable[TraceChunk]]
 
 
-def repeated_address_chunks(
-    la: int,
-    n_writes: Optional[int] = None,
-    data: LineData = ALL1,
-    batch: int = 4096,
-) -> Iterator[TraceChunk]:
-    """Chunked RAA stream: hammer one logical address."""
-    for size in _sizes(n_writes, batch):
-        yield (
-            np.full(size, la, dtype=np.int64),
-            np.full(size, int(data), dtype=np.int8),
-        )
+def _peek(trace: Iterable[Any]) -> Tuple[Any, Iterator[Any]]:
+    """The first item of ``trace`` (None when empty) and the full stream."""
+    it = iter(trace)
+    try:
+        first = next(it)
+    except StopIteration:
+        return None, iter(())
+    return first, chain([first], it)
 
 
-def sequential_chunks(
-    n_lines: int,
-    n_writes: Optional[int] = None,
-    data: LineData = ALL1,
-    batch: int = 4096,
-) -> Iterator[TraceChunk]:
-    """Chunked round-robin over the address space."""
-    count = 0
-    for size in _sizes(n_writes, batch):
-        las = np.arange(count, count + size, dtype=np.int64) % n_lines
-        yield las, np.full(size, int(data), dtype=np.int8)
-        count += size
+def trace_chunks(trace: Trace, batch: int = 4096) -> Iterator[TraceChunk]:
+    """Any trace as ``(las, datas)`` array chunks.
 
-
-def uniform_random_chunks(
-    n_lines: int,
-    n_writes: Optional[int] = None,
-    data: LineData = ALL1,
-    rng: SeedLike = None,
-    batch: int = 4096,
-) -> Iterator[TraceChunk]:
-    """Chunked uniformly random addresses (one RNG draw per chunk)."""
-    gen = as_generator(rng)
-    for size in _sizes(n_writes, batch):
-        las = np.asarray(gen.integers(0, n_lines, size=size), dtype=np.int64)
-        yield las, np.full(size, int(data), dtype=np.int8)
-
-
-def zipf_chunks(
-    n_lines: int,
-    n_writes: Optional[int] = None,
-    alpha: float = 1.2,
-    data: LineData = ALL1,
-    rng: SeedLike = None,
-    batch: int = 4096,
-) -> Iterator[TraceChunk]:
-    """Chunked Zipf-skewed addresses (one RNG draw per chunk)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    gen = as_generator(rng)
-    weights = (np.arange(1, n_lines + 1, dtype=np.float64)) ** (-alpha)
-    probabilities = weights / weights.sum()
-    for size in _sizes(n_writes, batch):
-        las = np.asarray(
-            gen.choice(n_lines, size=size, p=probabilities), dtype=np.int64
-        )
-        yield las, np.full(size, int(data), dtype=np.int8)
-
-
-def trace_chunks(
-    trace: Iterable[TraceEntry], batch: int = 4096
-) -> Iterator[TraceChunk]:
-    """Batch any scalar trace into ``(las, datas)`` array chunks.
-
-    The adapter the fast engine applies to traces that only exist in
-    scalar form (attack streams, recorded traces); the synthetic
-    generators above have native chunked twins that skip the per-entry
-    Python objects entirely.
+    A :class:`TraceSpec` expands to its chunk stream, a chunked stream
+    passes through untouched, and a scalar :class:`TraceEntry` stream
+    (attack streams, hand-built traces) is batched ``batch`` at a time.
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    it = iter(trace)
+    if isinstance(trace, TraceSpec):
+        return trace.chunks()
+    first, stream = _peek(trace)
+    if not isinstance(first, TraceEntry):
+        return stream
+    return _batched(stream, batch)
+
+
+def _batched(entries: Iterator[TraceEntry], batch: int) -> Iterator[TraceChunk]:
     while True:
-        block = list(islice(it, batch))
+        block = list(islice(entries, batch))
         if not block:
             return
         las = np.fromiter(
@@ -144,84 +202,19 @@ def trace_chunks(
         yield las, datas
 
 
-def trace_entries(
-    trace: Iterable[Union[TraceEntry, TraceChunk]],
-) -> Iterator[TraceEntry]:
-    """Unroll either granularity into :class:`TraceEntry` objects.
+def trace_entries(trace: Trace) -> Iterator[TraceEntry]:
+    """Any trace as :class:`TraceEntry` objects (``la`` a plain ``int``).
 
-    The inverse of :func:`trace_chunks`: chunked ``(las, datas)`` streams
-    become per-entry streams (``la`` as plain ``int``); entry streams pass
+    The inverse of :func:`trace_chunks`: a :class:`TraceSpec` or chunked
+    ``(las, datas)`` stream is unrolled entry-wise; an entry stream passes
     through untouched.  This is what lets the scalar engine consume a
     trace built for the fast one.
     """
-    it = iter(trace)
-    try:
-        first = next(it)
-    except StopIteration:
+    chunks = trace.chunks() if isinstance(trace, TraceSpec) else trace
+    first, stream = _peek(chunks)
+    if first is None or isinstance(first, TraceEntry):
+        yield from stream
         return
-    stream = chain([first], it)
-    if isinstance(first, TraceEntry):
-        yield from stream  # type: ignore[misc]
-        return
-    for las, datas in stream:  # type: ignore[misc]
+    for las, datas in stream:
         for la, data in zip(las.tolist(), datas.tolist()):
             yield TraceEntry(la=la, data=LineData(data))
-
-
-# -------------------------------------------------------- scalar traces
-
-
-def _scalar(
-    chunks: Iterator[TraceChunk], data: LineData
-) -> Iterator[TraceEntry]:
-    """Unroll a chunked trace into entries (``la`` as plain ``int``)."""
-    for las, _ in chunks:
-        for la in las.tolist():  # tolist() yields Python ints, not np.int64
-            yield TraceEntry(la=la, data=data)
-
-
-def repeated_address_trace(
-    la: int, n_writes: Optional[int] = None, data: LineData = ALL1
-) -> Iterator[TraceEntry]:
-    """The RAA stream: hammer one logical address forever (or n_writes)."""
-    return _scalar(repeated_address_chunks(la, n_writes, data), data)
-
-
-def sequential_trace(
-    n_lines: int, n_writes: Optional[int] = None, data: LineData = ALL1
-) -> Iterator[TraceEntry]:
-    """Round-robin over the address space (streaming workload)."""
-    return _scalar(sequential_chunks(n_lines, n_writes, data), data)
-
-
-def uniform_random_trace(
-    n_lines: int,
-    n_writes: Optional[int] = None,
-    data: LineData = ALL1,
-    rng: SeedLike = None,
-    batch: int = 4096,
-) -> Iterator[TraceEntry]:
-    """Uniformly random addresses (drawn in batches for speed)."""
-    return _scalar(
-        uniform_random_chunks(n_lines, n_writes, data, rng, batch), data
-    )
-
-
-def zipf_trace(
-    n_lines: int,
-    n_writes: Optional[int] = None,
-    alpha: float = 1.2,
-    data: LineData = ALL1,
-    rng: SeedLike = None,
-    batch: int = 4096,
-) -> Iterator[TraceEntry]:
-    """Zipf-skewed addresses — the non-uniform traffic that motivates
-    wear leveling in the first place (Section I).
-
-    Rank ``r`` (0-based) is written with probability proportional to
-    ``(r+1)**-alpha``; ranks are identity-mapped to addresses so address 0
-    is the hottest line.
-    """
-    return _scalar(
-        zipf_chunks(n_lines, n_writes, alpha, data, rng, batch), data
-    )

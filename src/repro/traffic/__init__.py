@@ -4,10 +4,10 @@ The workload layer above the simulator: streaming loaders for real
 block-trace formats (MSR-Cambridge/SNIA CSV, the compact ``.rbt``
 binary chunk format) and a :class:`TenantMixer` that multiplexes
 thousands of independent tenants through one deterministic interleaver.
-Both halves emit the dual-granularity streams
+Both halves emit chunked ``(las, datas)`` streams that
 :func:`repro.sim.engine.run_trace_fast` and :func:`~repro.sim.engine.
-run_trace` consume interchangeably — chunked and scalar forms of one
-identical write stream.
+run_trace` both consume, so the two engines replay one identical write
+stream.
 
 See ``docs/workloads.md`` for formats, the tenant-profile spec schema
 and windowing semantics.
@@ -16,8 +16,6 @@ and windowing semantics.
 from repro.traffic.adapter import (
     convert_to_rbt,
     open_trace_chunks,
-    open_trace_entries,
-    run_traffic,
     trace_format,
 )
 from repro.traffic.csvtrace import (
@@ -25,7 +23,6 @@ from repro.traffic.csvtrace import (
     CSVRecord,
     csv_info,
     csv_trace_chunks,
-    csv_trace_entries,
     iter_csv_records,
 )
 from repro.traffic.errors import (
@@ -44,7 +41,6 @@ from repro.traffic.profiles import (
 )
 from repro.traffic.rbt import (
     read_rbt_chunks,
-    read_rbt_entries,
     rbt_metadata,
     rbt_n_entries,
     write_rbt,
@@ -67,17 +63,13 @@ __all__ = [
     "convert_to_rbt",
     "csv_info",
     "csv_trace_chunks",
-    "csv_trace_entries",
     "iter_csv_records",
     "load_traffic_spec",
     "mixed_spec",
     "open_trace_chunks",
-    "open_trace_entries",
     "rbt_metadata",
     "rbt_n_entries",
     "read_rbt_chunks",
-    "read_rbt_entries",
-    "run_traffic",
     "trace_format",
     "write_rbt",
 ]

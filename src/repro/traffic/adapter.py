@@ -1,16 +1,12 @@
 """Glue between the traffic layer and the exact simulator.
 
-Three jobs:
+Two jobs:
 
-* :func:`open_trace_chunks` / :func:`open_trace_entries` — one dispatch
-  point that turns *any* on-disk trace (MSR/SNIA CSV, gzipped CSV,
-  ``.rbt``) into the stream shape an engine wants, by suffix with a
-  magic-byte fallback.
-* :func:`run_traffic` — drive a :class:`~repro.sim.memory_system.
-  MemoryController` with any traffic source on the batched fast path
-  (``fast=False`` for the scalar reference; results are bit-identical,
-  the PR-5 contract), returning the usual
-  :class:`~repro.sim.engine.SimulationResult`.
+* :func:`open_trace_chunks` — one dispatch point that turns *any*
+  on-disk trace (MSR/SNIA CSV, gzipped CSV, ``.rbt``) into a chunked
+  stream, by suffix with a magic-byte fallback.  Every engine driver
+  takes it directly (:func:`repro.sim.engine.run_trace` unrolls it
+  entry-wise through :func:`repro.sim.trace.trace_entries`).
 * :func:`convert_to_rbt` — CSV → ``.rbt`` conversion with the windowing
   already applied, so the binary file replays with zero further
   normalisation.
@@ -19,12 +15,10 @@ Three jobs:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Union
 
 from repro.pcm.timing import ALL1, LineData
-from repro.sim.engine import SimulationResult, run_trace, run_trace_fast
-from repro.sim.memory_system import MemoryController
-from repro.sim.trace import TraceChunk, TraceEntry, trace_entries
+from repro.sim.trace import TraceChunk
 from repro.traffic.csvtrace import (
     AddressWindow,
     csv_trace_chunks,
@@ -79,54 +73,6 @@ def open_trace_chunks(
         line_bytes=line_bytes,
         data=data,
         batch=batch,
-    )
-
-
-def open_trace_entries(
-    path: PathLike,
-    *,
-    n_lines: int,
-    line_bytes: int = 64,
-    window_start: int = 0,
-    window_mode: str = "wrap",
-    data: LineData = ALL1,
-    batch: int = 8192,
-) -> Iterator[TraceEntry]:
-    """Scalar twin of :func:`open_trace_chunks` — the same stream,
-    unrolled entry-wise for the scalar engine."""
-    return trace_entries(open_trace_chunks(
-        path,
-        n_lines=n_lines,
-        line_bytes=line_bytes,
-        window_start=window_start,
-        window_mode=window_mode,
-        data=data,
-        batch=batch,
-    ))
-
-
-def run_traffic(
-    controller: MemoryController,
-    traffic: Union[Iterator[TraceEntry], Iterator[TraceChunk]],
-    *,
-    max_writes: Optional[int] = None,
-    fast: bool = True,
-    batch: int = 8192,
-) -> SimulationResult:
-    """Drive a controller with any traffic stream.
-
-    ``fast=True`` (default) routes chunks through
-    :meth:`~repro.sim.memory_system.MemoryController.write_chunk` via
-    :func:`~repro.sim.engine.run_trace_fast`; ``fast=False`` runs the
-    scalar reference.  For streams built by this package the two are
-    bit-identical.
-    """
-    if fast:
-        return run_trace_fast(
-            controller, traffic, max_writes=max_writes, batch=batch
-        )
-    return run_trace(
-        controller, trace_entries(traffic), max_writes=max_writes
     )
 
 

@@ -20,10 +20,10 @@ loader emits one write per touched line.  The resulting raw line
 addresses are then folded into the simulated device's address space by
 an :class:`AddressWindow` (wrap / drop / clamp — see its docstring).
 
-Two granularities, same data: :func:`csv_trace_chunks` yields
-``(las, datas)`` numpy pairs for :func:`repro.sim.engine.run_trace_fast`;
-:func:`csv_trace_entries` is the scalar unrolling of exactly those
-chunks, so the two engines replay the identical stream.
+:func:`csv_trace_chunks` yields ``(las, datas)`` numpy pairs; both
+engine drivers take them directly (the scalar one unrolls them through
+:func:`repro.sim.trace.trace_entries`), so the two engines replay the
+identical stream.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import IO, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.pcm.timing import ALL1, LineData
-from repro.sim.trace import TraceChunk, TraceEntry, trace_entries
+from repro.sim.trace import TraceChunk
 from repro.traffic.errors import (
     TraceFileCorruptError,
     TraceFileMissingError,
@@ -259,31 +259,6 @@ def csv_trace_chunks(
             yield merged, np.full(merged.size, int(data), dtype=np.int8)
 
     return chunks()
-
-
-def csv_trace_entries(
-    path: PathLike,
-    *,
-    window: AddressWindow,
-    line_bytes: int = 64,
-    data: LineData = ALL1,
-    include_reads: bool = False,
-    max_lines_per_op: int = 4096,
-    batch: int = 8192,
-) -> Iterator[TraceEntry]:
-    """Scalar twin of :func:`csv_trace_chunks` — the exact unrolling of
-    the same chunks, so both engines replay one identical stream."""
-    return trace_entries(
-        csv_trace_chunks(
-            path,
-            window=window,
-            line_bytes=line_bytes,
-            data=data,
-            include_reads=include_reads,
-            max_lines_per_op=max_lines_per_op,
-            batch=batch,
-        )
-    )
 
 
 def csv_info(

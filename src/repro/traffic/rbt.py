@@ -20,22 +20,22 @@ only legal on a chunk boundary — anything else raises
 arrays are built with :func:`numpy.frombuffer` over the read buffer
 (zero-copy; the las array is handed out read-only).
 
-Writers accept either trace granularity — scalar
+Writers accept any trace granularity (:func:`repro.sim.trace.
+trace_chunks`) — a :class:`~repro.sim.trace.TraceSpec`, scalar
 :class:`~repro.sim.trace.TraceEntry` iterators or native chunk streams —
-so any generator, loader or recorded trace in the repo converts.
+so any synthetic, loaded or recorded trace in the repo converts.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from itertools import chain
 from pathlib import Path
-from typing import IO, Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import IO, Dict, Iterator, Optional, Union
 
 import numpy as np
 
-from repro.sim.trace import TraceChunk, TraceEntry, trace_chunks, trace_entries
+from repro.sim.trace import Trace, TraceChunk, trace_chunks
 from repro.traffic.errors import (
     TraceFileCorruptError,
     TraceFileMissingError,
@@ -178,19 +178,15 @@ def read_rbt_chunks(path: PathLike) -> Iterator[TraceChunk]:
     return chunks()
 
 
-def read_rbt_entries(path: PathLike) -> Iterator[TraceEntry]:
-    """Scalar unrolling of :func:`read_rbt_chunks` (same stream)."""
-    return trace_entries(read_rbt_chunks(path))
-
-
 def write_rbt(
     path: PathLike,
-    trace: Union[Iterable[TraceEntry], Iterable[TraceChunk]],
+    trace: Trace,
     *,
     metadata: Optional[Dict[str, object]] = None,
     batch: int = 8192,
 ) -> int:
-    """Convert any trace — scalar entries or native chunks — to ``.rbt``.
+    """Convert any trace — a spec, scalar entries or native chunks — to
+    ``.rbt``.
 
     Returns the number of entries written.  The header's ``n_entries``
     count is patched in after the chunk walk, so readers can detect a
@@ -215,7 +211,7 @@ def write_rbt(
         handle.write(_CHUNK_HEADER.pack(len(raw)))
         header_at = handle.tell()
         handle.write(raw)
-        for las, datas in _as_chunks(trace, batch):
+        for las, datas in trace_chunks(trace, batch):
             n = int(las.size)
             if n == 0:
                 continue
@@ -236,21 +232,6 @@ def write_rbt(
         handle.seek(header_at)
         handle.write(patched)
     return total
-
-
-def _as_chunks(
-    trace: Union[Iterable[TraceEntry], Iterable[TraceChunk]], batch: int
-) -> Iterator[TraceChunk]:
-    """Accept either granularity (mirror of the fast engine's adapter)."""
-    it = iter(trace)
-    try:
-        first = next(it)
-    except StopIteration:
-        return iter(())
-    rest = chain([first], it)
-    if isinstance(first, TraceEntry):
-        return trace_chunks(rest, batch=batch)
-    return rest  # type: ignore[return-value]
 
 
 def rbt_n_entries(path: PathLike) -> int:

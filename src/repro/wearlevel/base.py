@@ -22,7 +22,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pcm.timing import TimingModel
-    from repro.sim.fastforward import TraceSpec
+    from repro.sim.trace import TraceSpec
 
 
 def grouped_cumcount(groups: np.ndarray) -> np.ndarray:

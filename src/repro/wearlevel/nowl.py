@@ -15,7 +15,7 @@ from repro.wearlevel.base import Move, RoundProfile, WearLeveler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pcm.timing import TimingModel
-    from repro.sim.fastforward import TraceSpec
+    from repro.sim.trace import TraceSpec
 
 
 class NoWearLeveling(WearLeveler):

@@ -40,7 +40,7 @@ from repro.wearlevel.startgap import StartGapRegion, gap_walk_wear
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pcm.timing import TimingModel
-    from repro.sim.fastforward import TraceSpec
+    from repro.sim.trace import TraceSpec
 
 
 class RegionBasedStartGap(WearLeveler):

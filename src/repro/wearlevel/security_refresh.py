@@ -32,7 +32,7 @@ from repro.wearlevel.base import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pcm.timing import TimingModel
-    from repro.sim.fastforward import TraceSpec
+    from repro.sim.trace import TraceSpec
 
 
 class SRRegion:

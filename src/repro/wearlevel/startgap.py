@@ -30,7 +30,7 @@ from repro.wearlevel.base import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pcm.timing import TimingModel
-    from repro.sim.fastforward import TraceSpec
+    from repro.sim.trace import TraceSpec
 
 
 def gap_walk_wear(n_slots: int, gap0: int, movements: int) -> np.ndarray:

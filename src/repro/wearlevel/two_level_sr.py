@@ -36,7 +36,7 @@ from repro.wearlevel.security_refresh import SRRegion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pcm.timing import TimingModel
-    from repro.sim.fastforward import TraceSpec
+    from repro.sim.trace import TraceSpec
 
 
 class TwoLevelSecurityRefresh(WearLeveler):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.defense.attack_detector import OnlineAttackDetector
-from repro.sim.trace import uniform_random_trace, zipf_trace
+from repro.sim.trace import TraceSpec, trace_entries
 
 
 class TestValidation:
@@ -36,7 +36,7 @@ class TestDetection:
 
     def test_uniform_traffic_clean(self):
         detector = OnlineAttackDetector(window=512)
-        for entry in uniform_random_trace(4096, n_writes=5000, rng=0):
+        for entry in trace_entries(TraceSpec("uniform", 4096, 5000, seed=0)):
             assert not detector.record(entry.la)
 
     def test_zipf_traffic_clean(self):
@@ -45,7 +45,9 @@ class TestDetection:
         detector = OnlineAttackDetector(window=512)
         alarms = sum(
             detector.record(entry.la)
-            for entry in zipf_trace(4096, n_writes=5000, alpha=1.1, rng=1)
+            for entry in trace_entries(
+                TraceSpec("zipf", 4096, 5000, alpha=1.1, seed=1)
+            )
         )
         assert alarms == 0
 

@@ -9,7 +9,7 @@ from repro.pcm.sparing import SparesExhausted, SparingController
 from repro.pcm.timing import ALL0, ALL1
 from repro.sim.engine import run_trace
 from repro.sim.memory_system import MemoryController
-from repro.sim.trace import repeated_address_trace
+from repro.sim.trace import TraceSpec
 from repro.wearlevel.nowl import NoWearLeveling
 from repro.wearlevel.security_refresh import SecurityRefresh
 from repro.wearlevel.startgap import StartGap
@@ -66,7 +66,8 @@ class TestBeyondFirstFailure:
         config = PCMConfig(n_lines=16, endurance=40)
         controller = MemoryController(StartGap(16, remap_interval=1), config)
         result = run_trace(
-            controller, repeated_address_trace(3), max_writes=100_000
+            controller, TraceSpec("raa", 16, target=3),
+            max_writes=100_000,
         )
         assert result.failed
         assert result.failed_pa is not None

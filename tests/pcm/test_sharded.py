@@ -17,7 +17,7 @@ from repro.pcm.sharded import ShardedPCMArray
 from repro.pcm.sparing import SparesExhausted, SparingController
 from repro.pcm.timing import ALL0, ALL1, MIXED
 from repro.sim.engine import run_trace_fast
-from repro.sim.fastforward import TraceSpec
+from repro.sim.trace import TraceSpec
 from repro.sim.memory_system import MemoryController
 from repro.util.rng import as_generator
 

@@ -3,11 +3,15 @@
 import pytest
 
 from repro.config import PCMConfig
-from repro.sim.engine import run_trace, run_until_failure
+from repro.sim.engine import run_trace
 from repro.sim.memory_system import MemoryController
-from repro.sim.trace import repeated_address_trace, uniform_random_trace
+from repro.sim.trace import TraceEntry, TraceSpec
 from repro.wearlevel.nowl import NoWearLeveling
 from repro.wearlevel.startgap import StartGap
+
+
+def hammer(la, n_writes=None, n_lines=16):
+    return TraceSpec("raa", n_lines, n_writes, target=la)
 
 
 def make_controller(n_lines=16, endurance=1e12, scheme=None):
@@ -19,7 +23,7 @@ def make_controller(n_lines=16, endurance=1e12, scheme=None):
 class TestRunTrace:
     def test_runs_to_stream_end(self):
         controller = make_controller()
-        result = run_trace(controller, repeated_address_trace(0, n_writes=50))
+        result = run_trace(controller, hammer(0, n_writes=50))
         assert result.user_writes == 50
         assert not result.failed
         assert result.total_writes == 50
@@ -27,25 +31,25 @@ class TestRunTrace:
     def test_max_writes_caps(self):
         controller = make_controller()
         result = run_trace(
-            controller, repeated_address_trace(0), max_writes=30
+            controller, hammer(0), max_writes=30
         )
         assert result.user_writes == 30
 
     def test_failure_reported(self):
         controller = make_controller(endurance=10)
-        result = run_trace(controller, repeated_address_trace(4, n_writes=100))
+        result = run_trace(controller, hammer(4, n_writes=100))
         assert result.failed
         assert result.failed_pa == 4
         assert result.user_writes == 10
 
     def test_lifetime_seconds(self):
         controller = make_controller(endurance=10)
-        result = run_trace(controller, repeated_address_trace(0, n_writes=100))
+        result = run_trace(controller, hammer(0, n_writes=100))
         assert result.lifetime_seconds == pytest.approx(10 * 1000e-9)
 
     def test_write_amplification(self):
         controller = make_controller(scheme=StartGap(16, remap_interval=2))
-        result = run_trace(controller, repeated_address_trace(0, n_writes=100))
+        result = run_trace(controller, hammer(0, n_writes=100))
         # One remap copy per 2 user writes → amplification 1.5.
         assert result.write_amplification == pytest.approx(1.5)
 
@@ -54,18 +58,12 @@ class TestRunTrace:
         assert result.user_writes == 0
         assert result.write_amplification == 0.0
 
-
-class TestRunUntilFailure:
-    def test_returns_failure(self):
-        controller = make_controller(endurance=5)
-        result = run_until_failure(
-            controller, repeated_address_trace(1), max_writes=100
-        )
-        assert result.failed
-
-    def test_raises_if_no_failure(self):
-        controller = make_controller()
-        with pytest.raises(RuntimeError, match="did not fail"):
-            run_until_failure(
-                controller, uniform_random_trace(16, rng=0), max_writes=100
-            )
+    def test_accepts_chunk_and_entry_streams(self):
+        results = []
+        for trace in (
+            hammer(2, n_writes=20).chunks(),
+            iter([TraceEntry(2)] * 20),
+        ):
+            results.append(run_trace(make_controller(), trace))
+        assert results[0] == results[1]
+        assert results[0].user_writes == 20

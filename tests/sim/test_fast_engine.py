@@ -15,17 +15,7 @@ from repro.config import PCMConfig
 from repro.pcm.timing import LineData
 from repro.sim.engine import run_trace, run_trace_fast
 from repro.sim.memory_system import MemoryController
-from repro.sim.trace import (
-    TraceEntry,
-    repeated_address_chunks,
-    repeated_address_trace,
-    sequential_chunks,
-    sequential_trace,
-    uniform_random_chunks,
-    uniform_random_trace,
-    zipf_chunks,
-    zipf_trace,
-)
+from repro.sim.trace import TraceEntry, TraceSpec, trace_entries
 from repro.util.rng import as_generator
 from repro.wearlevel.nowl import NoWearLeveling
 
@@ -46,25 +36,11 @@ N_LINES = 256
 N_WRITES = 4000
 
 
-def make_trace(kind, seed, fast, batch=512):
-    """One synthetic trace in the requested granularity.
-
-    The chunked and scalar generators share a draw discipline, so for
-    equal seeds they produce the identical address stream.
-    """
-    if kind == "uniform":
-        fn = uniform_random_chunks if fast else uniform_random_trace
-        return fn(N_LINES, N_WRITES, rng=seed, batch=batch)
-    if kind == "zipf":
-        zfn = zipf_chunks if fast else zipf_trace
-        return zfn(N_LINES, N_WRITES, alpha=1.2, rng=seed, batch=batch)
-    if kind == "sequential":
-        if fast:
-            return sequential_chunks(N_LINES, N_WRITES, batch=batch)
-        return sequential_trace(N_LINES, N_WRITES)
-    if fast:
-        return repeated_address_chunks(7, N_WRITES, batch=batch)
-    return repeated_address_trace(7, N_WRITES)
+def make_trace(kind, seed, batch=512):
+    """One synthetic trace; each engine expands it at its own granularity
+    from the identical address stream."""
+    return TraceSpec(kind, N_LINES, N_WRITES, target=7, seed=seed,
+                     batch=batch)
 
 
 def run_both(scheme_name, trace_kind, seed, endurance=1e9, max_writes=None,
@@ -79,7 +55,7 @@ def run_both(scheme_name, trace_kind, seed, endurance=1e9, max_writes=None,
         controller = MemoryController(scheme, config, fault_rng=seed)
         driver = run_trace_fast if fast else run_trace
         result = driver(
-            controller, make_trace(trace_kind, seed, fast),
+            controller, make_trace(trace_kind, seed),
             max_writes=max_writes,
         )
         outcomes.append((result, controller))
@@ -121,10 +97,11 @@ class TestBitIdentical:
             scheme = build_scheme(scheme_name, N_LINES, 3, {})
             controller = MemoryController(scheme, config)
             driver = run_trace_fast if fast else run_trace
-            driver(controller, make_trace("uniform", 3, fast))
+            driver(controller, make_trace("uniform", 3))
             controllers.append(controller)
         scalar_ctrl, fast_ctrl = controllers
-        tail = [e for e in uniform_random_trace(N_LINES, 200, rng=11)]
+        tail = list(trace_entries(TraceSpec("uniform", N_LINES, 200,
+                                            seed=11)))
         for entry in tail:
             a = scalar_ctrl.write(entry.la, entry.data)
             b = fast_ctrl.write(entry.la, entry.data)
@@ -201,7 +178,7 @@ class TestConfigurations:
         )
         controller = MemoryController(NoWearLeveling(N_LINES), config)
         result = run_trace_fast(
-            controller, repeated_address_chunks(3, 100)
+            controller, TraceSpec("raa", N_LINES, 100, target=3)
         )
         assert result.user_writes == 100
         # First write flips ALL0 -> ALL1 and wears; 99 rewrites do not.
@@ -234,7 +211,7 @@ class TestFallbacks:
             config = PCMConfig(n_lines=N_LINES, endurance=1e9)
             controller = MemoryController(cls(N_LINES), config)
             driver = run_trace_fast if fast else run_trace
-            result = driver(controller, make_trace("uniform", 6, False))
+            result = driver(controller, make_trace("uniform", 6))
             outcomes.append((result, controller))
         (scalar_result, scalar_ctrl), (fast_result, fast_ctrl) = outcomes
         assert fast_result == scalar_result
@@ -248,9 +225,9 @@ class TestFallbacks:
             config = PCMConfig(n_lines=N_LINES, endurance=1e9)
             scheme = build_scheme("rbsg", N_LINES, 8, {})
             controller = MemoryController(scheme, config)
-            result = driver(
-                controller, uniform_random_trace(N_LINES, 2000, rng=8)
-            )
+            entries = trace_entries(TraceSpec("uniform", N_LINES, 2000,
+                                              seed=8))
+            result = driver(controller, entries)
             scalars.append((result, controller))
         assert_identical(*scalars)
 
@@ -276,7 +253,7 @@ class TestMaxWrites:
         controller = MemoryController(NoWearLeveling(N_LINES), config)
         result = run_trace_fast(
             controller,
-            uniform_random_chunks(N_LINES, rng=0, batch=500),
+            TraceSpec("uniform", N_LINES, seed=0, batch=500),
             max_writes=1234,
         )
         assert result.user_writes == 1234

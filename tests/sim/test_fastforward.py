@@ -3,9 +3,9 @@
 Three promises under test:
 
 * **Small-scale bit-identity** — ``fast_forward="auto"`` falls through to
-  the chunk engine below paper scale, and a :class:`TraceSpec` draws the
-  identical stream as the matching generator, so spec-driven runs are
-  bit-identical to the existing engines for every scheme and trace kind.
+  the chunk engine below paper scale, so spec-driven runs are
+  bit-identical to the scalar engine and to the chunk engine fed the
+  spec's plain chunk stream, for every scheme and trace kind.
 * **Conservative-fallback contract** — a scheme without
   ``round_wear_profile`` (the base returns ``None``, the round-granular
   analogue of ``writes_until_next_remap() == 1``) runs bit-identically
@@ -23,17 +23,11 @@ from repro.campaign.tasks import build_scheme
 from repro.config import PCMConfig
 from repro.sim.engine import run_trace, run_trace_fast
 from repro.sim.fastforward import (
-    TraceSpec,
     fast_forward_engaged,
     scheme_supports_fast_forward,
 )
 from repro.sim.memory_system import MemoryController
-from repro.sim.trace import (
-    repeated_address_chunks,
-    sequential_chunks,
-    uniform_random_chunks,
-    zipf_chunks,
-)
+from repro.sim.trace import TraceSpec
 from repro.wearlevel.base import WearLeveler
 
 SCHEMES = [
@@ -67,14 +61,10 @@ def make_spec(kind, seed, n_lines=N_LINES, n_writes=N_WRITES, batch=BATCH):
     )
 
 
-def make_generator_trace(kind, seed):
-    if kind == "uniform":
-        return uniform_random_chunks(N_LINES, N_WRITES, rng=seed, batch=BATCH)
-    if kind == "zipf":
-        return zipf_chunks(N_LINES, N_WRITES, alpha=1.2, rng=seed, batch=BATCH)
-    if kind == "sequential":
-        return sequential_chunks(N_LINES, N_WRITES, batch=BATCH)
-    return repeated_address_chunks(7, N_WRITES, batch=BATCH)
+def make_chunk_trace(kind, seed):
+    """The spec's writes as a plain chunk stream, which no analytic tier
+    can see through."""
+    return make_spec(kind, seed).chunks()
 
 
 def fresh_controller(scheme_name, seed, endurance=1e9, n_lines=N_LINES,
@@ -95,7 +85,7 @@ def assert_same_device(ctrl_a, ctrl_b):
 
 
 class TestSmallScaleEquivalence:
-    """spec+auto == chunk-generators == scalar, bit for bit."""
+    """spec+auto == plain chunk stream == scalar, bit for bit."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("trace_kind", TRACES)
@@ -104,10 +94,10 @@ class TestSmallScaleEquivalence:
         # Tier 1: scalar engine expanding the spec entry by entry.
         c_scalar = fresh_controller(scheme_name, seed)
         r_scalar = run_trace(c_scalar, make_spec(trace_kind, seed))
-        # Tier 2: chunk engine on the repo's original generators.
+        # Tier 2: chunk engine on the spec's plain chunk stream.
         c_chunk = fresh_controller(scheme_name, seed)
         r_chunk = run_trace_fast(
-            c_chunk, make_generator_trace(trace_kind, seed)
+            c_chunk, make_chunk_trace(trace_kind, seed)
         )
         # Tier 3 entry point: spec with auto policy — below paper scale
         # this must fall through to the chunk engine unchanged.
@@ -127,7 +117,7 @@ class TestSmallScaleEquivalence:
             c_spec, make_spec("uniform", 2), fast_forward="auto"
         )
         c_gen = fresh_controller(scheme_name, 2, endurance=20)
-        r_gen = run_trace_fast(c_gen, make_generator_trace("uniform", 2))
+        r_gen = run_trace_fast(c_gen, make_chunk_trace("uniform", 2))
         assert r_spec.failed and r_spec == r_gen
         assert_same_device(c_spec, c_gen)
 
@@ -158,7 +148,7 @@ class TestConservativeFallbackContract:
             c_forced, make_spec(trace_kind, 3), fast_forward="analytic"
         )
         c_plain = fresh_controller(scheme_name, 3)
-        r_plain = run_trace_fast(c_plain, make_generator_trace(trace_kind, 3))
+        r_plain = run_trace_fast(c_plain, make_chunk_trace(trace_kind, 3))
         assert r_forced == r_plain
         assert_same_device(c_forced, c_plain)
 
@@ -171,7 +161,7 @@ class TestConservativeFallbackContract:
         assert fast_forward_engaged(ctrl, spec, "analytic")
         # Non-spec traces can never engage.
         assert not fast_forward_engaged(
-            ctrl, make_generator_trace("uniform", 1), "analytic"
+            ctrl, make_chunk_trace("uniform", 1), "analytic"
         )
         with pytest.raises(ValueError):
             fast_forward_engaged(ctrl, spec, "warp")
@@ -303,11 +293,10 @@ class TestTraceSpec:
         assert weights[0] > weights[-1]
         assert np.isclose(weights.sum(), 1.0)
 
-    def test_uniform_stream_matches_generator(self):
-        spec = TraceSpec(kind="uniform", n_lines=64, n_writes=1000, seed=9,
-                         batch=128)
-        ours = np.concatenate([las for las, _ in spec.chunks()])
-        ref = np.concatenate(
-            [las for las, _ in uniform_random_chunks(64, 1000, rng=9, batch=128)]
-        )
-        assert np.array_equal(ours, ref)
+    def test_uniform_stream_is_batch_independent(self):
+        def stream(batch):
+            spec = TraceSpec(kind="uniform", n_lines=64, n_writes=1000,
+                             seed=9, batch=batch)
+            return np.concatenate([las for las, _ in spec.chunks()])
+
+        assert np.array_equal(stream(128), stream(1000))

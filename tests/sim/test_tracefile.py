@@ -8,7 +8,7 @@ import pytest
 import numpy as np
 
 from repro.pcm.timing import ALL0, ALL1, MIXED
-from repro.sim.trace import TraceEntry, zipf_trace
+from repro.sim.trace import TraceEntry, TraceSpec, trace_entries
 from repro.sim.tracefile import (
     TraceFileCorruptError,
     TraceFileError,
@@ -36,7 +36,8 @@ class TestRoundtrip:
 
     def test_generator_input(self, tmp_path):
         path = tmp_path / "zipf.npz"
-        count = save_trace(path, zipf_trace(64, n_writes=500, rng=0))
+        spec = TraceSpec("zipf", 64, n_writes=500, seed=0)
+        count = save_trace(path, trace_entries(spec))
         assert count == 500
         assert len(list(load_trace(path))) == 500
 

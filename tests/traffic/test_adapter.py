@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from repro.config import PCMConfig
+from repro.sim.engine import run_trace, run_trace_fast
 from repro.sim.memory_system import MemoryController
+from repro.sim.trace import trace_entries
 from repro.traffic import (
     TenantMixer,
     TenantProfile,
@@ -15,10 +17,8 @@ from repro.traffic import (
     convert_to_rbt,
     csv_trace_chunks,
     open_trace_chunks,
-    open_trace_entries,
     read_rbt_chunks,
     rbt_metadata,
-    run_traffic,
     trace_format,
 )
 from repro.traffic.csvtrace import AddressWindow
@@ -68,7 +68,9 @@ class TestOpenTrace:
 
     def test_entries_are_the_unrolled_chunks(self):
         las, datas = merge(open_trace_chunks(CSV_FIXTURE, n_lines=4096))
-        entries = list(open_trace_entries(CSV_FIXTURE, n_lines=4096))
+        entries = list(
+            trace_entries(open_trace_chunks(CSV_FIXTURE, n_lines=4096))
+        )
         assert [e.la for e in entries] == las.tolist()
         assert [int(e.data) for e in entries] == datas.tolist()
 
@@ -108,17 +110,16 @@ class TestRunTraffic:
             [TenantProfile(kind="uniform", window_start=0, window_len=256)],
             seed=3,
         )
-        fast = run_traffic(
+        fast = run_trace_fast(
             self.controller(), mixer.chunks(), max_writes=20_000
         )
-        scalar = run_traffic(
-            self.controller(), mixer.entries(), max_writes=20_000,
-            fast=False,
+        scalar = run_trace(
+            self.controller(), mixer.chunks(), max_writes=20_000
         )
         assert fast == scalar
 
     def test_loaded_trace_drives_the_engine(self):
-        result = run_traffic(
+        result = run_trace_fast(
             self.controller(4096),
             open_trace_chunks(RBT_FIXTURE, n_lines=4096),
         )

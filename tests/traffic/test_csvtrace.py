@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.pcm.timing import ALL0, ALL1
+from repro.sim.trace import trace_entries
 from repro.traffic import (
     AddressWindow,
     TraceFileCorruptError,
@@ -14,7 +15,6 @@ from repro.traffic import (
     TraceFileTruncatedError,
     csv_info,
     csv_trace_chunks,
-    csv_trace_entries,
     iter_csv_records,
 )
 
@@ -134,7 +134,9 @@ class TestChunks:
 
     def test_entries_are_the_unrolled_chunks(self):
         las, datas = merge(csv_trace_chunks(FIXTURE, window=self.WINDOW))
-        entries = list(csv_trace_entries(FIXTURE, window=self.WINDOW))
+        entries = list(
+            trace_entries(csv_trace_chunks(FIXTURE, window=self.WINDOW))
+        )
         assert [e.la for e in entries] == las.tolist()
         assert [int(e.data) for e in entries] == datas.tolist()
 

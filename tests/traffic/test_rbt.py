@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.pcm.timing import ALL0, ALL1, MIXED
-from repro.sim.trace import TraceEntry
+from repro.sim.trace import TraceEntry, trace_entries
 from repro.traffic import (
     TraceFileCorruptError,
     TraceFileMissingError,
@@ -16,7 +16,6 @@ from repro.traffic import (
     rbt_metadata,
     rbt_n_entries,
     read_rbt_chunks,
-    read_rbt_entries,
     write_rbt,
 )
 
@@ -63,7 +62,7 @@ class TestRoundtrip:
 
     def test_entries_reader_unrolls_chunks(self, tmp_path):
         path = saved(tmp_path)
-        entries = list(read_rbt_entries(path))
+        entries = list(trace_entries(read_rbt_chunks(path)))
         assert [e.la for e in entries] == [1, 2, 3, 4, 5]
         assert [e.data for e in entries] == [ALL1] * 3 + [ALL0] * 2
 
