@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-fast bench-ff examples smoke faults-smoke campaign-smoke chaos-smoke trace-smoke lint lint-flow lint-changed lint-timing clean
+.PHONY: install test bench bench-fast bench-ff examples smoke faults-smoke campaign-smoke chaos-smoke trace-smoke lint lint-flow lint-changed lint-timing src-delta clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -77,6 +77,11 @@ lint-changed:
 # regression that makes `make lint` crawl fails here, not in review).
 lint-timing:
 	PYTHONPATH=src python scripts/lint_timing.py
+
+# Net code-line change of src/repro (no blank, comment or docstring
+# lines) against the merge base with origin/main, or against BASE=<rev>.
+src-delta:
+	python scripts/src_delta.py $(BASE)
 
 faults-smoke:
 	PYTHONPATH=src python -m repro faults --lines 128 --endurance 400 \

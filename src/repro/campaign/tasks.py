@@ -110,7 +110,10 @@ def _str(params: Mapping[str, Scalar], name: str) -> str:
 def run_lifetime_task(
     params: Mapping[str, Scalar], seed: int
 ) -> Dict[str, object]:
-    """Closed-form lifetime of one (scheme, attack, config) point."""
+    """Closed-form lifetime of one (scheme, attack, config) point.
+
+    The one closed-form ladder: ``repro lifetime`` calls it too.
+    """
     from repro.analysis.lifetime import (
         ideal_lifetime_ns,
         raa_nowl_lifetime_ns,

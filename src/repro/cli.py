@@ -54,24 +54,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.analysis.lifetime import (
-    ideal_lifetime_ns,
-    raa_nowl_lifetime_ns,
-    raa_rbsg_lifetime_ns,
-    raa_security_rbsg_lifetime_ns,
-    raa_two_level_sr_lifetime_ns,
-    rta_rbsg_lifetime_ns,
-    rta_two_level_sr_lifetime_ns,
-)
 from repro.analysis.overhead import security_rbsg_overhead
 from repro.analysis.security import is_secure, min_secure_stages
-from repro.config import (
-    PAPER_PCM,
-    PCMConfig,
-    RBSGConfig,
-    SecurityRBSGConfig,
-    SRConfig,
-)
+from repro.config import PAPER_PCM, PCMConfig, SecurityRBSGConfig
 
 DAY_NS = 86_400e9
 
@@ -91,58 +76,50 @@ def _fmt_duration(ns: float) -> str:
 def cmd_lifetime(args: argparse.Namespace) -> int:
     if args.paper_scale:
         return _lifetime_paper_scale(args)
+    from repro.campaign.tasks import TaskError, run_lifetime_task
+
     pcm = PAPER_PCM
     scheme, attack = args.scheme, args.attack
     if attack is None:
         print("--attack is required without --paper-scale", file=sys.stderr)
         return 2
-    if scheme == "none" and attack == "raa":
-        ns = raa_nowl_lifetime_ns(pcm)
-    elif scheme == "rbsg":
-        rbsg_cfg = RBSGConfig(args.regions, args.interval)
-        ns = (rta_rbsg_lifetime_ns if attack == "rta" else raa_rbsg_lifetime_ns)(
-            pcm, rbsg_cfg
-        )
-    elif scheme == "two-level-sr":
-        sr_cfg = SRConfig(args.subregions, args.inner, args.outer)
-        fn = (
-            rta_two_level_sr_lifetime_ns
-            if attack == "rta"
-            else raa_two_level_sr_lifetime_ns
-        )
-        ns = fn(pcm, sr_cfg)
-    elif scheme == "security-rbsg":
-        if attack == "rta":
-            if args.json:
-                print(json.dumps({
-                    "scheme": scheme,
-                    "attack": attack,
-                    "lifetime_ns": None,
-                    "resists_rta": True,
-                }, sort_keys=True))
-            else:
-                print(
-                    "Security RBSG resists RTA by design: with a secure "
-                    "stage count the DFN keys rotate before detection "
-                    "completes (see `python -m repro stages`)."
-                )
-            return 0
-        srbsg_cfg = SecurityRBSGConfig(args.subregions, args.inner,
-                                       args.outer, args.stages)
-        ns = raa_security_rbsg_lifetime_ns(pcm, srbsg_cfg)
-    else:
+    if scheme == "security-rbsg" and attack == "rta":
+        if args.json:
+            print(json.dumps({
+                "scheme": scheme,
+                "attack": attack,
+                "lifetime_ns": None,
+                "resists_rta": True,
+            }, sort_keys=True))
+        else:
+            print(
+                "Security RBSG resists RTA by design: with a secure "
+                "stage count the DFN keys rotate before detection "
+                "completes (see `python -m repro stages`)."
+            )
+        return 0
+    params = {
+        "scheme": scheme,
+        "attack": attack,
+        "regions": args.regions,
+        "interval": args.interval,
+        "subregions": args.subregions,
+        "inner": args.inner,
+        "outer": args.outer,
+        "stages": args.stages,
+    }
+    try:
+        result = run_lifetime_task(params, 0)
+    except TaskError:
         print(f"unsupported pair: {scheme} / {attack}", file=sys.stderr)
         return 2
-    ideal = ideal_lifetime_ns(pcm)
+    ns = float(result["lifetime_ns"])  # type: ignore[arg-type]
+    ideal = float(result["ideal_ns"])  # type: ignore[arg-type]
     if args.json:
         print(json.dumps({
-            "scheme": scheme,
-            "attack": attack,
+            **result,
             "endurance": pcm.endurance,
             "n_lines": pcm.n_lines,
-            "lifetime_ns": ns,
-            "ideal_ns": ideal,
-            "fraction_of_ideal": ns / ideal,
         }, sort_keys=True))
         return 0
     print(f"device          : 1 GB bank, E={pcm.endurance:g} "

@@ -8,8 +8,8 @@ down.
 
 Interval discovery is duck-typed: the wrapper rescales every
 ``remap_interval`` / ``inner_interval`` / ``outer_interval`` attribute it
-finds on the scheme and on its ``region`` / ``regions`` / ``inners`` /
-``outer`` sub-objects — which covers every scheme in this library.
+finds on the scheme and on its ``region`` / ``regions`` / ``outer``
+sub-objects — which covers every scheme in this library.
 
 This is the mechanism the paper's §III-B warns about: against RAA/BPA it
 multiplies lifetime, but against the Remapping Timing Attack a higher
@@ -27,7 +27,7 @@ from repro.wearlevel.base import Move, WearLeveler
 
 _INTERVAL_FIELDS = ("remap_interval", "inner_interval", "outer_interval")
 _SUBOBJECT_FIELDS = ("region", "outer")
-_SUBLIST_FIELDS = ("regions", "inners")
+_SUBLIST_FIELDS = ("regions",)
 
 
 def _interval_slots(scheme) -> List[Tuple[object, str, int]]:

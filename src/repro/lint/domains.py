@@ -19,7 +19,7 @@ and fail silently.
 This module extracts **domain signatures** from scheme shape (every
 :class:`~repro.wearlevel.base.WearLeveler` subclass gets
 ``translate(la) -> pa``, ``record_write(la)``, ...; mapper classes
-mint IA; RBSG-family stage helpers like ``randomize``/``_phys_of_ia``
+mint IA; region-layer stage helpers like ``_outer_ia``/``_phys_of_ia``
 carry their stage's domains), types values through a per-function
 abstract environment (parameters and attributes named ``la``/``ia``/
 ``pa`` seed their domain; calls return their signature's domain;
@@ -96,10 +96,13 @@ _SCHEME_SIGS: Dict[str, DomainSig] = {
     "consume_chunk": _LA_IN_PA_OUT,  # returns (pas, n); see unpacking
 }
 
-#: RBSG-family intermediate-stage helpers, matched by name on scheme
-#: receivers (``self.randomize(...)`` inside RBSG, Security RBSG's
-#: ``_phys_of_ia``...).  These are where IA is minted and consumed.
+#: Region-layer stage helpers, matched by name on scheme receivers:
+#: the outer-stage hooks of ``RegionPartitionedScheme`` (``_outer_ia``
+#: / ``_outer_ias``), RBSG's ``randomize``, the shared placement
+#: ``_phys_of_ia(s)``...  These are where IA is minted and consumed.
 _STAGE_SIGS: Dict[str, DomainSig] = {
+    "_outer_ia": DomainSig((LA,), IA),
+    "_outer_ias": DomainSig((LA,), IA),
     "randomize": DomainSig((LA,), IA),
     "randomize_many": DomainSig((LA,), IA),
     "derandomize": DomainSig((IA,), LA),

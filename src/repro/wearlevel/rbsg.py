@@ -20,7 +20,7 @@ slots plus one gap slot each.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -31,19 +31,18 @@ from repro.util.rng import SeedLike, as_generator
 from repro.wearlevel.base import (
     CopyMove,
     Move,
+    RegionPartitionedScheme,
     RoundProfile,
-    WearLeveler,
-    grouped_cumcount,
     spread_exact,
 )
-from repro.wearlevel.startgap import StartGapRegion, gap_walk_wear
+from repro.wearlevel.startgap import StartGapRegion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pcm.timing import TimingModel
     from repro.sim.trace import TraceSpec
 
 
-class RegionBasedStartGap(WearLeveler):
+class RegionBasedStartGap(RegionPartitionedScheme):
     """RBSG with a configurable static randomizer.
 
     Parameters
@@ -71,15 +70,10 @@ class RegionBasedStartGap(WearLeveler):
         feistel_stages: int = 3,
         rng: SeedLike = None,
     ):
-        if n_regions < 1 or n_lines % n_regions != 0:
-            raise ValueError(
-                f"n_regions ({n_regions}) must divide n_lines ({n_lines})"
-            )
-        self.n_lines = n_lines
+        super().__init__(n_lines, n_regions, StartGapRegion)
         self.n_regions = n_regions
-        self.region_size = n_lines // n_regions
+        self.region_size = self._size
         self.remap_interval = remap_interval
-        self.n_physical = n_lines + n_regions  # one gap line per region
         gen = as_generator(rng)
         n_bits = bit_length_exact(n_lines)
         if randomizer == "feistel":
@@ -109,19 +103,22 @@ class RegionBasedStartGap(WearLeveler):
             return ia
         return int(self._randomizer.decrypt(ia))
 
+    def randomize_many(self, las: np.ndarray) -> np.ndarray:
+        """Vectorized static LA → IA mapping."""
+        if self._randomizer is None:
+            return np.asarray(las, dtype=np.int64)
+        out = self._randomizer.encrypt(np.asarray(las, dtype=np.uint64))
+        return np.asarray(out).astype(np.int64)
+
+    def _outer_ia(self, la: int) -> int:
+        return self.randomize(la)
+
+    def _outer_ias(self, las: np.ndarray) -> np.ndarray:
+        return self.randomize_many(las)
+
     def region_of(self, ia: int) -> int:
         """Region index a given IA falls into."""
         return ia // self.region_size
-
-    def _region_base(self, region: int) -> int:
-        return region * (self.region_size + 1)
-
-    def translate(self, la: int) -> int:
-        self._check_la(la)
-        ia = self.randomize(la)
-        region = self.region_of(ia)
-        local = ia % self.region_size
-        return self._region_base(region) + self.regions[region].translate(local)
 
     # -------------------------------------------------------------- writes
 
@@ -132,83 +129,9 @@ class RegionBasedStartGap(WearLeveler):
         move = self.regions[region].record_write()
         if move is None:
             return []
-        base = self._region_base(region)
+        base = region * self._stride
         src, dst = move
         return [CopyMove(src=base + src, dst=base + dst)]
-
-    # ------------------------------------------------------- batched API
-
-    def randomize_many(self, las: np.ndarray) -> np.ndarray:
-        """Vectorized static LA → IA mapping."""
-        if self._randomizer is None:
-            return np.asarray(las, dtype=np.int64)
-        out = self._randomizer.encrypt(np.asarray(las, dtype=np.uint64))
-        return np.asarray(out).astype(np.int64)
-
-    def translate_many(self, las: np.ndarray) -> np.ndarray:
-        ias = self.randomize_many(las)
-        regions = ias // self.region_size
-        starts = np.fromiter(
-            (r.start for r in self.regions), dtype=np.int64, count=self.n_regions
-        )
-        gaps = np.fromiter(
-            (r.gap for r in self.regions), dtype=np.int64, count=self.n_regions
-        )
-        local = (ias % self.region_size + starts[regions]) % self.region_size
-        local += local >= gaps[regions]
-        return regions * (self.region_size + 1) + local
-
-    def writes_until_next_remap(self) -> int:
-        # Conservative (any region's trigger might be hit first); the
-        # exact per-address split lives in consume_chunk.
-        return min(r.writes_until_next_movement for r in self.regions)
-
-    def consume_chunk(self, las: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Exact split: stop right before the first write that remaps.
-
-        Only the target region's counter advances per write, so the first
-        trigger is the first write whose occurrence number within its
-        region reaches that region's remaining count — a grouped cumcount,
-        not a global minimum.  This is what keeps chunks long under
-        spread-out traffic.
-        """
-        if las.size == 0:
-            return np.empty(0, dtype=np.int64), 0
-        remaining = np.fromiter(
-            (r.writes_until_next_movement for r in self.regions),
-            dtype=np.int64,
-            count=self.n_regions,
-        )
-        # The call right after a remap sees the trigger at index 0; one
-        # scalar randomize answers that without scanning a whole window.
-        first_region = self.randomize(int(las[0])) // self.region_size
-        if remaining[first_region] <= 1:
-            return np.empty(0, dtype=np.int64), 0
-        # Cap the scan window at sum(remaining): by pigeonhole a window
-        # that long always contains a trigger, so one scan per remap
-        # cycle suffices — while scanning further than that only
-        # re-randomizes and re-sorts tail writes a later call must redo.
-        window = min(int(las.size), max(int(remaining.sum()), 1))
-        ias = self.randomize_many(np.asarray(las[:window], dtype=np.int64))
-        regions = ias // self.region_size
-        trigger = np.nonzero(grouped_cumcount(regions) + 1 >= remaining[regions])[0]
-        n = int(trigger[0]) if trigger.size else window
-        if n == 0:
-            return np.empty(0, dtype=np.int64), 0
-        regions = regions[:n]
-        starts = np.fromiter(
-            (r.start for r in self.regions), dtype=np.int64, count=self.n_regions
-        )
-        gaps = np.fromiter(
-            (r.gap for r in self.regions), dtype=np.int64, count=self.n_regions
-        )
-        local = (ias[:n] % self.region_size + starts[regions]) % self.region_size
-        local += local >= gaps[regions]
-        pas = regions * (self.region_size + 1) + local
-        counts = np.bincount(regions, minlength=self.n_regions)
-        for r in np.nonzero(counts)[0]:
-            self.regions[int(r)].write_count += int(counts[r])
-        return pas, n
 
     # -------------------------------------------------- fast-forward API
 
@@ -242,7 +165,7 @@ class RegionBasedStartGap(WearLeveler):
         if spec.kind == "raa":
             return None
         writes = int(writes)
-        stride = self.region_size + 1
+        stride = self._stride
         region_q = self._region_weights(spec)
         if spec.kind == "zipf":
             rotation = stride * self.remap_interval
@@ -250,27 +173,13 @@ class RegionBasedStartGap(WearLeveler):
             if writes <= 0:
                 return None
         region_writes = spread_exact(region_q * writes, writes)
-        counts = np.zeros(self.n_physical, dtype=np.int64)
+        counts, movements = StartGapRegion.bank_gap_wear(
+            self.regions, region_writes
+        )
         rates: Optional[np.ndarray] = None
         exact = False
-        total_movements = 0
-        for index, region in enumerate(self.regions):
-            w_r = int(region_writes[index])
-            movements = region.pending_movements(w_r)
-            total_movements += movements
-            base = index * stride
-            counts[base : base + stride] += gap_walk_wear(
-                stride, region.gap, movements
-            )
         if spec.kind == "zipf":
-            weights = spec.weights()
-            assert weights is not None
-            rates = np.zeros(self.n_physical)
-            np.add.at(
-                rates,
-                self.translate_many(np.arange(self.n_lines, dtype=np.int64)),
-                weights,
-            )
+            rates = self._zipf_user_wear(spec)
             rates *= writes
         elif spec.kind == "uniform":
             rates = np.repeat(region_writes / stride, stride)
@@ -284,7 +193,7 @@ class RegionBasedStartGap(WearLeveler):
             counts += user
             exact = True
         elapsed = writes * timing.write_latency(spec.data)
-        elapsed += total_movements * timing.copy_latency(spec.data)
+        elapsed += movements * timing.copy_latency(spec.data)
         return RoundProfile(
             writes,
             elapsed,
@@ -294,20 +203,7 @@ class RegionBasedStartGap(WearLeveler):
             meta={"region_writes": region_writes},
         )
 
-    def apply_round(self, profile: RoundProfile) -> float:
-        region_writes = profile.meta["region_writes"]
-        assert isinstance(region_writes, np.ndarray)
-        for region, w_r in zip(self.regions, region_writes):
-            movements = region.pending_movements(int(w_r))
-            region.write_count += int(w_r)
-            region.advance_movements(movements)
-        return profile.elapsed_ns
-
     # ------------------------------------------------------------- queries
-
-    def writes_until_next_movement(self, region: int) -> int:
-        """Writes to ``region`` remaining before its next gap movement."""
-        return self.regions[region].writes_until_next_movement
 
     def physically_previous_la(self, la: int) -> int:
         """Ground-truth ``L_{i-1} = f^{-1}(f(L_i) - 1)`` within the region.

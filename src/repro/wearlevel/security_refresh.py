@@ -16,7 +16,7 @@ physical lines — no gap line needed (Fig. 5).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,8 @@ class SRRegion:
     Region-local: addresses and returned swap pairs are in ``[0, n_lines)``.
     Shared by the one-level scheme, the two-level scheme and Multi-Way SR.
     """
+
+    gap_slots = 0
 
     def __init__(self, n_lines: int, remap_interval: int, rng: SeedLike = None):
         self.n_bits = bit_length_exact(n_lines)
@@ -81,6 +83,25 @@ class SRRegion:
         pairs = las ^ (self.keyc ^ self.keyp)
         remapped = np.minimum(las, pairs) < self.crp
         return las ^ np.where(remapped, self.keyc, self.keyp)
+
+    @staticmethod
+    def translate_bank(
+        bank: Sequence["SRRegion"], regions: np.ndarray, locals_: np.ndarray
+    ) -> np.ndarray:
+        """Vectorized :meth:`translate` across a bank of equal-size regions.
+
+        Write ``i`` lands on region ``regions[i]`` at region-local address
+        ``locals_[i]``; returns region-local slots.
+        """
+        n = len(bank)
+        keycs = np.fromiter((r.keyc for r in bank), dtype=np.int64, count=n)
+        keyps = np.fromiter((r.keyp for r in bank), dtype=np.int64, count=n)
+        crps = np.fromiter((r.crp for r in bank), dtype=np.int64, count=n)
+        kc = keycs[regions]
+        kp = keyps[regions]
+        pairs = locals_ ^ kc ^ kp
+        remapped = np.minimum(locals_, pairs) < crps[regions]
+        return locals_ ^ np.where(remapped, kc, kp)
 
     # -------------------------------------------------------------- remaps
 
@@ -142,6 +163,23 @@ class SRRegion:
         fixed point and nothing ever moves.
         """
         return 0.0 if self.keyc == self.keyp else 0.5
+
+    @staticmethod
+    def bank_swap_rates(
+        bank: Sequence["SRRegion"], region_writes: np.ndarray
+    ) -> Tuple[np.ndarray, float]:
+        """Expected swap wear of a bank over ``region_writes`` writes.
+
+        Returns per-slot rates over the whole bank (two line writes per
+        expected swap, rotation-smoothed over each region) and the total
+        expected number of swaps.
+        """
+        swaps = [
+            r.pending_triggers(int(w)) * r.swap_factor
+            for r, w in zip(bank, region_writes)
+        ]
+        size = bank[0].n_lines
+        return np.repeat(2.0 * np.array(swaps) / size, size), sum(swaps)
 
     def advance_triggers(self, triggers: int) -> None:
         """Jump the CRP (and any completed key rotations) over ``triggers``.
@@ -225,15 +263,7 @@ class SecurityRefresh(WearLeveler):
         if spec.kind == "uniform":
             rates += writes / n
         elif spec.kind == "zipf":
-            weights = spec.weights()
-            assert weights is not None
-            user = np.zeros(n)
-            np.add.at(
-                user,
-                self.translate_many(np.arange(n, dtype=np.int64)),
-                weights,
-            )
-            rates += user * writes
+            rates += self._zipf_user_wear(spec) * writes
         else:  # sequential: deterministic even coverage
             counts = spread_exact(np.full(n, writes / n), writes)
         elapsed = writes * timing.write_latency(spec.data)

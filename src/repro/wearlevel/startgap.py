@@ -16,7 +16,7 @@ advances, completing one remapping round exactly as in Fig. 2.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class StartGapRegion:
     Region-Based Start-Gap and of Security RBSG's inner level.  Slot indices
     are local (``0 .. n_lines``, slot ``n_lines`` being the initial gap).
     """
+
+    gap_slots = 1
 
     def __init__(self, n_lines: int, remap_interval: int):
         if n_lines < 1:
@@ -97,25 +99,25 @@ class StartGapRegion:
         return src, dst
 
     @property
-    def writes_until_next_movement(self) -> int:
+    def writes_until_next_remap(self) -> int:
         """Writes remaining before the next gap movement fires."""
         return self.remap_interval - (self.write_count % self.remap_interval)
 
-    def pending_movements(self, writes: int) -> int:
+    def pending_triggers(self, writes: int) -> int:
         """Gap movements the next ``writes`` region writes will trigger."""
         interval = self.remap_interval
         return (self.write_count + writes) // interval - self.write_count // interval
 
-    def advance_movements(self, movements: int) -> None:
-        """Jump the ``start``/``gap`` registers over ``movements`` movements.
+    def advance_triggers(self, triggers: int) -> None:
+        """Jump the ``start``/``gap`` registers over ``triggers`` movements.
 
-        Closed form of ``movements`` successive :meth:`gap_movement` calls:
+        Closed form of ``triggers`` successive :meth:`gap_movement` calls:
         after ``M`` total movements from boot the gap sits at
         ``(n - M) mod (n + 1)`` and ``start`` has advanced once per full
         lap of the gap (every ``n + 1`` movements).  Write counters are the
         caller's responsibility.
         """
-        total = self.total_movements + movements
+        total = self.total_movements + triggers
         n_slots = self.n_lines + 1
         self.gap = (self.n_lines - total) % n_slots
         self.start = (total // n_slots) % self.n_lines
@@ -126,6 +128,41 @@ class StartGapRegion:
         pas = (ias + self.start) % self.n_lines
         pas += pas >= self.gap
         return pas
+
+    @staticmethod
+    def translate_bank(
+        bank: Sequence["StartGapRegion"], regions: np.ndarray, locals_: np.ndarray
+    ) -> np.ndarray:
+        """Vectorized :meth:`translate` across a bank of equal-size regions.
+
+        Write ``i`` lands on region ``regions[i]`` at region-local address
+        ``locals_[i]``; returns region-local slots.
+        """
+        n = len(bank)
+        starts = np.fromiter((r.start for r in bank), dtype=np.int64, count=n)
+        gaps = np.fromiter((r.gap for r in bank), dtype=np.int64, count=n)
+        size = bank[0].n_lines
+        slots = (locals_ + starts[regions]) % size
+        slots += slots >= gaps[regions]
+        return slots
+
+    @staticmethod
+    def bank_gap_wear(
+        bank: Sequence["StartGapRegion"], region_writes: np.ndarray
+    ) -> Tuple[np.ndarray, int]:
+        """Exact gap-walk wear of a bank over ``region_writes`` writes.
+
+        Returns the per-slot wear of the whole bank (``n_lines + 1`` slots
+        per region, in region order) and the total number of movements.
+        """
+        movements = [
+            r.pending_triggers(int(w)) for r, w in zip(bank, region_writes)
+        ]
+        n_slots = bank[0].n_lines + 1
+        wear = np.concatenate([
+            gap_walk_wear(n_slots, r.gap, m) for r, m in zip(bank, movements)
+        ])
+        return wear, sum(movements)
 
 
 class StartGap(WearLeveler):
@@ -154,7 +191,7 @@ class StartGap(WearLeveler):
         return self.region.translate_many(np.asarray(las, dtype=np.int64))
 
     def writes_until_next_remap(self) -> int:
-        return self.region.writes_until_next_movement
+        return self.region.writes_until_next_remap
 
     def record_writes_many(self, las: np.ndarray) -> None:
         # Address-oblivious single counter; the prefix contract guarantees
@@ -186,21 +223,14 @@ class StartGap(WearLeveler):
         n_slots = self.n_physical
         if spec.kind == "zipf":
             writes = min(writes, n_slots * region.remap_interval)
-        movements = region.pending_movements(writes)
+        movements = region.pending_triggers(writes)
         counts = gap_walk_wear(n_slots, region.gap, movements)
         rates: Optional[np.ndarray] = None
         exact = False
         if spec.kind == "uniform":
             rates = np.full(n_slots, writes / n_slots)
         elif spec.kind == "zipf":
-            weights = spec.weights()
-            assert weights is not None
-            rates = np.zeros(n_slots)
-            np.add.at(
-                rates,
-                self.translate_many(np.arange(self.n_lines, dtype=np.int64)),
-                weights,
-            )
+            rates = self._zipf_user_wear(spec)
             rates *= writes
         else:  # sequential: deterministic aggregate, smoothed placement
             counts = counts + spread_exact(
@@ -222,5 +252,5 @@ class StartGap(WearLeveler):
         self.region.write_count += profile.writes
         movements = profile.meta["movements"]
         assert isinstance(movements, int)
-        self.region.advance_movements(movements)
+        self.region.advance_triggers(movements)
         return profile.elapsed_ns

@@ -18,18 +18,16 @@ slots inside one sub-region.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.util.bitops import bit_length_exact
 from repro.util.rng import SeedLike, as_generator
 from repro.wearlevel.base import (
     Move,
+    RegionPartitionedScheme,
     RoundProfile,
     SwapMove,
-    WearLeveler,
-    grouped_cumcount,
     spread_exact,
 )
 from repro.wearlevel.security_refresh import SRRegion
@@ -39,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.trace import TraceSpec
 
 
-class TwoLevelSecurityRefresh(WearLeveler):
+class TwoLevelSecurityRefresh(RegionPartitionedScheme):
     """Hierarchical Security Refresh.
 
     Parameters
@@ -62,18 +60,14 @@ class TwoLevelSecurityRefresh(WearLeveler):
         outer_interval: int = 128,
         rng: SeedLike = None,
     ):
-        if n_subregions < 1 or n_lines % n_subregions != 0:
-            raise ValueError(
-                f"n_subregions ({n_subregions}) must divide n_lines ({n_lines})"
-            )
-        self.n_lines = n_lines
-        self.n_physical = n_lines
+        super().__init__(
+            n_lines, n_subregions, SRRegion, count_name="n_subregions"
+        )
         self.n_subregions = n_subregions
-        self.subregion_size = n_lines // n_subregions
-        bit_length_exact(self.subregion_size)  # validates power of two
+        self.subregion_size = self._size
         gen = as_generator(rng)
         self.outer = SRRegion(n_lines, outer_interval, gen)
-        self.inners = [
+        self.regions = [
             SRRegion(self.subregion_size, inner_interval, gen)
             for _ in range(n_subregions)
         ]
@@ -84,14 +78,17 @@ class TwoLevelSecurityRefresh(WearLeveler):
         """Sub-region index of an intermediate address."""
         return ia // self.subregion_size
 
-    def _phys_of_ia(self, ia: int) -> int:
-        region = self.subregion_of(ia)
-        local = ia % self.subregion_size
-        return region * self.subregion_size + self.inners[region].translate(local)
+    def _outer_ia(self, la: int) -> int:
+        return self.outer.translate(la)
 
-    def translate(self, la: int) -> int:
-        self._check_la(la)
-        return self._phys_of_ia(self.outer.translate(la))
+    def _outer_ias(self, las: np.ndarray) -> np.ndarray:
+        return self.outer.translate_many(np.asarray(las, dtype=np.int64))
+
+    def _outer_left(self) -> int:
+        return self.outer.writes_until_next_remap
+
+    def _outer_count(self, writes: int) -> None:
+        self.outer.write_count += writes
 
     # -------------------------------------------------------------- writes
 
@@ -111,81 +108,10 @@ class TwoLevelSecurityRefresh(WearLeveler):
         ia = self.outer.translate(la)
         region = self.subregion_of(ia)
         base = region * self.subregion_size
-        inner_swap = self.inners[region].record_write()
+        inner_swap = self.regions[region].record_write()
         if inner_swap is not None:
             moves.append(SwapMove(pa_a=base + inner_swap[0], pa_b=base + inner_swap[1]))
         return moves
-
-    # ------------------------------------------------------- batched API
-
-    def _translate_inners(
-        self, regions: np.ndarray, locals_: np.ndarray
-    ) -> np.ndarray:
-        keycs = np.fromiter(
-            (r.keyc for r in self.inners), dtype=np.int64, count=self.n_subregions
-        )
-        keyps = np.fromiter(
-            (r.keyp for r in self.inners), dtype=np.int64, count=self.n_subregions
-        )
-        crps = np.fromiter(
-            (r.crp for r in self.inners), dtype=np.int64, count=self.n_subregions
-        )
-        kc = keycs[regions]
-        kp = keyps[regions]
-        pairs = locals_ ^ kc ^ kp
-        remapped = np.minimum(locals_, pairs) < crps[regions]
-        return regions * self.subregion_size + (
-            locals_ ^ np.where(remapped, kc, kp)
-        )
-
-    def translate_many(self, las: np.ndarray) -> np.ndarray:
-        ias = self.outer.translate_many(np.asarray(las, dtype=np.int64))
-        return self._translate_inners(
-            ias // self.subregion_size, ias % self.subregion_size
-        )
-
-    def writes_until_next_remap(self) -> int:
-        inner_min = min(r.writes_until_next_remap for r in self.inners)
-        return min(self.outer.writes_until_next_remap, inner_min)
-
-    def consume_chunk(self, las: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Exact split: outer counter is global, inner counters per region.
-
-        The prefix must end strictly before the outer trigger (every write
-        counts there) *and* before the first write whose region-local
-        occurrence number reaches its inner region's remaining count.
-        """
-        if las.size == 0:
-            return np.empty(0, dtype=np.int64), 0
-        limit = min(int(las.size), self.outer.writes_until_next_remap - 1)
-        if limit <= 0:
-            return np.empty(0, dtype=np.int64), 0
-        remaining = np.fromiter(
-            (r.writes_until_next_remap for r in self.inners),
-            dtype=np.int64,
-            count=self.n_subregions,
-        )
-        # Trigger right at index 0 (the call after an inner remap) needs
-        # no scan; one scalar outer translate answers it.
-        first_region = self.outer.translate(int(las[0])) // self.subregion_size
-        if remaining[first_region] <= 1:
-            return np.empty(0, dtype=np.int64), 0
-        # Inner scan-window cap (same rationale as RBSG's consume_chunk).
-        limit = min(limit, max(int(remaining.sum()), 1))
-        las = np.asarray(las[:limit], dtype=np.int64)
-        ias = self.outer.translate_many(las)
-        regions = ias // self.subregion_size
-        trigger = np.nonzero(grouped_cumcount(regions) + 1 >= remaining[regions])[0]
-        n = int(trigger[0]) if trigger.size else limit
-        if n == 0:
-            return np.empty(0, dtype=np.int64), 0
-        regions = regions[:n]
-        pas = self._translate_inners(regions, ias[:n] % self.subregion_size)
-        self.outer.write_count += n
-        counts = np.bincount(regions, minlength=self.n_subregions)
-        for r in np.nonzero(counts)[0]:
-            self.inners[int(r)].write_count += int(counts[r])
-        return pas, n
 
     # -------------------------------------------------- fast-forward API
 
@@ -205,7 +131,6 @@ class TwoLevelSecurityRefresh(WearLeveler):
             return None
         writes = int(writes)
         n = self.n_lines
-        size = self.subregion_size
         if spec.kind == "zipf":
             writes = min(writes, n * self.outer.remap_interval)
         outer_swaps = self.outer.pending_triggers(writes) * self.outer.swap_factor
@@ -215,31 +140,22 @@ class TwoLevelSecurityRefresh(WearLeveler):
             assert weights is not None
             ias = self.outer.translate_many(np.arange(n, dtype=np.int64))
             region_q = np.bincount(
-                ias // size, weights=weights, minlength=self.n_subregions
+                ias // self.subregion_size,
+                weights=weights,
+                minlength=self.n_subregions,
             )
         else:
             region_q = np.full(self.n_subregions, 1.0 / self.n_subregions)
         region_writes = spread_exact(region_q * writes, writes)
-        inner_swaps = 0.0
-        for index, inner in enumerate(self.inners):
-            w_r = int(region_writes[index])
-            swaps = inner.pending_triggers(w_r) * inner.swap_factor
-            inner_swaps += swaps
-            base = index * size
-            rates[base : base + size] += 2.0 * swaps / size
+        inner_rates, inner_swaps = SRRegion.bank_swap_rates(
+            self.regions, region_writes
+        )
+        rates += inner_rates
         counts: Optional[np.ndarray] = None
         if spec.kind == "uniform":
             rates += writes / n
         elif spec.kind == "zipf":
-            weights = spec.weights()
-            assert weights is not None
-            user = np.zeros(n)
-            np.add.at(
-                user,
-                self.translate_many(np.arange(n, dtype=np.int64)),
-                weights,
-            )
-            rates += user * writes
+            rates += self._zipf_user_wear(spec) * writes
         else:  # sequential: deterministic even coverage through both XORs
             counts = spread_exact(np.full(n, writes / n), writes)
         elapsed = writes * timing.write_latency(spec.data)
@@ -258,13 +174,7 @@ class TwoLevelSecurityRefresh(WearLeveler):
         outer_triggers = self.outer.pending_triggers(profile.writes)
         self.outer.write_count += profile.writes
         self.outer.advance_triggers(outer_triggers)
-        region_writes = profile.meta["region_writes"]
-        assert isinstance(region_writes, np.ndarray)
-        for inner, w_r in zip(self.inners, region_writes):
-            triggers = inner.pending_triggers(int(w_r))
-            inner.write_count += int(w_r)
-            inner.advance_triggers(triggers)
-        return profile.elapsed_ns
+        return super().apply_round(profile)
 
     # ------------------------------------------------------------- oracles
 
@@ -275,5 +185,5 @@ class TwoLevelSecurityRefresh(WearLeveler):
 
     def inner_key_xor(self, region: int) -> int:
         """Ground truth inner ``keyc XOR keyp`` of one sub-region."""
-        inner = self.inners[region]
+        inner = self.regions[region]
         return inner.keyc ^ inner.keyp

@@ -214,6 +214,46 @@ class TestREP304AddressDomainConfusion:
         assert [d.code for d in bug] == ["REP304"]
         assert "IA is expected" in bug[0].message
 
+    REGION_LAYER = (
+        "from repro.wearlevel.base import WearLeveler\n"
+        "class Layer(WearLeveler):\n"
+        "    def translate(self, la: int) -> int:\n"
+        "        return self._phys_of_ia(self._outer_ia(la))\n"
+        "    def translate_many(self, las):\n"
+        "        {body}\n"
+        "    def _outer_ia(self, la: int) -> int:\n"
+        "        return la ^ 3\n"
+        "    def _outer_ias(self, las):\n"
+        "        return las ^ 3\n"
+        "    def _phys_of_ia(self, ia: int) -> int:\n"
+        "        return ia + 1\n"
+        "    def _phys_of_ias(self, ias):\n"
+        "        return ias + 1\n"
+    )
+
+    def test_region_layer_outer_hooks_mint_ia(self):
+        # _outer_ias mints the IA that _phys_of_ias consumes.
+        clean = _diags({"src/repro/demo.py": self.REGION_LAYER.format(
+            body="return self._phys_of_ias(self._outer_ias(las))",
+        )}, "REP304")
+        assert clean == []
+
+    def test_pa_into_phys_of_ias_flagged(self):
+        bug = _diags({"src/repro/demo.py": self.REGION_LAYER.format(
+            body="return self._phys_of_ias(self.translate_many(las))",
+        )}, "REP304")
+        assert [d.code for d in bug] == ["REP304"]
+        assert "IA is expected" in bug[0].message
+
+    def test_pa_into_outer_ias_flagged(self):
+        # The outer hook takes an LA: re-translating placed PAs through
+        # it is a double translation across stages.
+        bug = _diags({"src/repro/demo.py": self.REGION_LAYER.format(
+            body="return self._outer_ias(self.translate_many(las))",
+        )}, "REP304")
+        assert [d.code for d in bug] == ["REP304"]
+        assert "double translation" in bug[0].message
+
     def test_suppression_counts_as_used(self, tmp_path):
         mod = tmp_path / "mod.py"
         mod.write_text(

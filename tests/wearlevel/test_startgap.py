@@ -54,9 +54,9 @@ class TestStartGapRegion:
 
     def test_writes_until_next_movement(self):
         region = StartGapRegion(8, 5)
-        assert region.writes_until_next_movement == 5
+        assert region.writes_until_next_remap == 5
         region.record_write()
-        assert region.writes_until_next_movement == 4
+        assert region.writes_until_next_remap == 4
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -62,9 +62,9 @@ class TestLevelInteraction:
         region = scheme.subregion_of(scheme.outer.translate(la))
         for _ in range(8):
             scheme.record_write(la)
-        assert scheme.inners[region].write_count == 8
+        assert scheme.regions[region].write_count == 8
         others = [r for r in range(4) if r != region]
-        assert all(scheme.inners[r].write_count == 0 for r in others)
+        assert all(scheme.regions[r].write_count == 0 for r in others)
 
     def test_outer_swap_moves_between_subregions(self):
         """Over enough rounds, a hammered LA visits several sub-regions."""
@@ -87,7 +87,7 @@ class TestOracles:
         scheme = make(seed=7)
         for r in range(4):
             assert scheme.inner_key_xor(r) == (
-                scheme.inners[r].keyc ^ scheme.inners[r].keyp
+                scheme.regions[r].keyc ^ scheme.regions[r].keyp
             )
 
 
