@@ -20,7 +20,7 @@ detection ⇒ shorter lifetime.  See DESIGN.md / EXPERIMENTS.md.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.analysis.ballsbins import dwells_to_max_load
 from repro.config import PCMConfig, RBSGConfig, SecurityRBSGConfig, SRConfig
@@ -182,8 +182,6 @@ def measured_lifetime_ns(
     max_writes: int = 10_000_000,
     fast: bool = True,
     fast_forward: str = "auto",
-    n_shards: "Optional[int]" = None,
-    memmap_dir: "Optional[str]" = None,
 ) -> float:
     """Lifetime *measured* on the exact simulator, not modelled.
 
@@ -201,9 +199,7 @@ def measured_lifetime_ns(
     the chunk engine would take hours; ``"off"`` forces chunk-exact;
     ``"analytic"`` forces the analytic tier regardless of scale.  At
     small scale ``"auto"`` falls through to the chunk engine, keeping the
-    historical bit-exact behaviour.  ``n_shards``/``memmap_dir`` put the
-    physical array on a :class:`~repro.pcm.sharded.ShardedPCMArray` for
-    devices too large for one resident allocation.
+    historical bit-exact behaviour.
 
     Raises ``RuntimeError`` if the device survives ``max_writes`` user
     writes — a lifetime measurement must end in a failure.
@@ -211,9 +207,7 @@ def measured_lifetime_ns(
     from repro.sim.engine import run_trace, run_trace_fast
     from repro.sim.memory_system import MemoryController
 
-    controller = MemoryController(
-        scheme, pcm, n_shards=n_shards, memmap_dir=memmap_dir
-    )
+    controller = MemoryController(scheme, pcm)
     if fast:
         result = run_trace_fast(
             controller, trace, max_writes=max_writes, fast_forward=fast_forward

@@ -328,9 +328,11 @@ def run_trace_lifetime_task(
     ``fast_forward`` (``auto`` / ``analytic`` / ``off``) names a
     lifetime-to-failure run that may use the analytic tier: ``max_writes``
     then defaults to unbounded, and the document reports the engine as
-    ``fast-forward:<mode>`` plus ``n_shards`` (0 = monolithic array;
-    ``memmap_dir`` backs the shards with files) and ``spares`` (spare
-    lines appended to the physical space).  The reported lifetime is the
+    ``fast-forward:<mode>`` plus ``n_shards`` (recorded; no effect — kept
+    so stored specs, their ``key_id``s and documents keep their bytes)
+    and ``spares`` (spare lines appended to the physical space).
+    ``memmap_dir`` backs the array's wear and data with ``np.memmap``
+    files in that directory, in any mode.  The reported lifetime is the
     paper's **first-failure** metric: retirement is a scalar-controller
     feature (:class:`~repro.pcm.sparing.SparingController`), so the spare
     pool sizes the array without extending it, and wear statistics
@@ -346,7 +348,7 @@ def run_trace_lifetime_task(
     fast = bool(params.get("fast", True))
     mode = params.get("fast_forward")
     budget = params.get("max_writes", None if mode else 10_000_000)
-    n_shards = _int(params, "n_shards", 0)
+    n_shards = _int(params, "n_shards", 0)  # recorded; no effect
     memmap_dir = params.get("memmap_dir")
     spares = _int(params, "spares", 0)
 
@@ -355,7 +357,6 @@ def run_trace_lifetime_task(
     controller = MemoryController(
         scheme,
         config,
-        n_shards=n_shards if n_shards > 0 else None,
         memmap_dir=None if memmap_dir is None else str(memmap_dir),
     )
     if spares:

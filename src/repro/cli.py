@@ -151,7 +151,6 @@ def _lifetime_paper_scale(args: argparse.Namespace) -> int:
         "lines": args.lines,
         "endurance": args.endurance,
         "fast_forward": args.fast_forward,
-        "n_shards": args.shards,
         "spares": args.spares,
         "alpha": args.alpha,
         "regions": args.subregions if subregioned else args.regions,
@@ -165,8 +164,9 @@ def _lifetime_paper_scale(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(result, sort_keys=True))
         return 0
+    storage = f"memmap in {args.memmap_dir}" if args.memmap_dir else "RAM"
     print(f"device          : {args.lines} lines, E={args.endurance:g}, "
-          f"{args.spares} spares, {args.shards or 'no'} shards")
+          f"{args.spares} spares, {storage}")
     print(f"scheme / trace  : {args.scheme} / {args.trace} "
           f"(seed {args.seed})")
     print(f"engine          : {result['engine']}")
@@ -767,10 +767,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="[--paper-scale] spare-pool lines provisioned "
                         "(sizes the array/memmaps; lifetime reported is "
                         "still the paper's first-failure metric)")
-    p.add_argument("--shards", type=int, default=0,
-                   help="[--paper-scale] shard the array into N banks")
     p.add_argument("--memmap-dir", default=None,
-                   help="[--paper-scale] back shard banks with memmap files")
+                   help="[--paper-scale] keep the array's per-line wear "
+                        "and data in memmap files under this directory")
     p.add_argument("--fast-forward", default="auto",
                    choices=["auto", "analytic", "off"],
                    help="[--paper-scale] engine tier policy")

@@ -5,10 +5,13 @@ The Remapping Timing Attack only needs to distinguish *latency classes*
 as one of three classes (:class:`~repro.pcm.timing.LineData`) rather than as
 raw bytes — this keeps simulated banks of millions of lines cheap while
 preserving the side channel exactly (Fig. 4 of the paper).
+
+:class:`PCMArray` is the one device array: in RAM by default, or with
+``memmap_dir`` set its per-line wear and data live in ``np.memmap`` files
+for devices that outgrow RAM.
 """
 
 from repro.pcm.array import PCMArray, LineFailure, UncorrectableError
-from repro.pcm.sharded import ShardedPCMArray
 from repro.pcm.ecc import CorrectionOutcome, ECPModel
 from repro.pcm.faults import FaultModel
 from repro.pcm.health import DeviceHealth
@@ -34,7 +37,6 @@ __all__ = [
     "LineData",
     "LineFailure",
     "PCMArray",
-    "ShardedPCMArray",
     "SparesExhausted",
     "SparingController",
     "TimingModel",

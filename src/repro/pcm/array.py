@@ -23,10 +23,19 @@ ECP capacity raises :class:`UncorrectableError` so the sparing layer can
 retire it.  All fault probabilities zero (the default) skips every one of
 these paths — latencies and lifetimes are bit-identical to the fault-free
 model.
+
+Deployment: with ``memmap_dir`` set the two per-line arrays that scale
+with the device — :attr:`PCMArray.wear` and :attr:`PCMArray.data` — are
+``np.memmap``s over unnamed temporary files in that directory, so the OS
+pages cold lines out and devices larger than RAM still simulate.  Every
+method behaves bit-identically either way; the smaller optional state
+(endurance map, stuck cells) stays in RAM.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -101,6 +110,11 @@ class PCMArray:
         :class:`LineFailure`.  If False, failures are recorded in
         :attr:`failed` and writes keep succeeding (useful for wear-
         distribution studies past first failure, e.g. Fig. 16).
+    memmap_dir:
+        When set, :attr:`wear` and :attr:`data` live in ``np.memmap``
+        files under this directory (created if missing) instead of RAM.
+        Each allocation gets its own unnamed file, so arrays sharing a
+        directory never share state and nothing outlives the array.
     """
 
     def __init__(
@@ -112,6 +126,7 @@ class PCMArray:
         endurance_variation: float = 0.0,
         rng: SeedLike = None,
         fault_rng: SeedLike = None,
+        memmap_dir: Optional[str] = None,
     ) -> None:
         self.config = config
         self.timing = TimingModel(config)
@@ -121,8 +136,14 @@ class PCMArray:
                 f"n_physical ({self.n_physical}) must cover the logical space "
                 f"({config.n_lines} lines)"
             )
-        self.wear = np.zeros(self.n_physical, dtype=np.int64)
-        self.data = np.full(self.n_physical, int(initial_data), dtype=np.int8)
+        self._memmap_dir = memmap_dir
+        if memmap_dir is None:
+            self.wear = np.zeros(self.n_physical, dtype=np.int64)
+            self.data = np.full(self.n_physical, int(initial_data), dtype=np.int8)
+        else:
+            os.makedirs(memmap_dir, exist_ok=True)
+            self.wear = self._mapped(np.int64, self.n_physical, 0)
+            self.data = self._mapped(np.int8, self.n_physical, int(initial_data))
         self.raise_on_failure = raise_on_failure
         self.total_writes = 0
         self.elapsed_ns = 0.0
@@ -167,24 +188,40 @@ class PCMArray:
         floor = max(1.0, 0.01 * self.config.endurance)
         return np.maximum(draws, floor)
 
+    def _mapped(self, dtype: type, size: int, fill: int) -> np.ndarray:
+        """A fresh ``np.memmap`` of ``size`` lines under ``memmap_dir``."""
+        # The map holds its own descriptor, so the unnamed file lives
+        # exactly as long as the array does.
+        with tempfile.TemporaryFile(dir=self._memmap_dir) as backing:
+            mapped = np.memmap(backing, dtype=dtype, mode="w+", shape=(size,))
+        if fill:
+            mapped[:] = fill
+        return mapped
+
+    def _grow(self, old: np.ndarray, extra: int, fill: int) -> np.ndarray:
+        """``old`` extended by ``extra`` lines set to ``fill``."""
+        if self._memmap_dir is None:
+            return np.concatenate([old, np.full(extra, fill, dtype=old.dtype)])
+        grown = self._mapped(old.dtype.type, old.size + extra, fill)
+        grown[: old.size] = old
+        return grown
+
     def add_lines(self, extra: int) -> int:
         """Append ``extra`` fresh lines (a sparing pool); return their base PA.
 
         Extends every per-line structure consistently — wear, data, stuck
         cells and (when process variation is on) the endurance map, whose
-        new entries are drawn from the same seeded distribution.
+        new entries are drawn from the same seeded distribution.  A
+        memmap-backed array moves into a larger map; the old one's file
+        goes with it.
         """
         if extra < 0:
             raise ValueError("extra must be >= 0")
         base = self.n_physical
         if extra == 0:
             return base
-        self.wear = np.concatenate(
-            [self.wear, np.zeros(extra, dtype=self.wear.dtype)]
-        )
-        self.data = np.concatenate(
-            [self.data, np.full(extra, int(LineData.ALL0), dtype=self.data.dtype)]
-        )
+        self.wear = self._grow(self.wear, extra, 0)
+        self.data = self._grow(self.data, extra, int(LineData.ALL0))
         if self.stuck_bits is not None:
             self.stuck_bits = np.concatenate(
                 [self.stuck_bits, np.zeros(extra, dtype=self.stuck_bits.dtype)]
@@ -242,15 +279,6 @@ class PCMArray:
     def peek(self, pa: int) -> LineData:
         """Read without advancing time (for internal bookkeeping/tests)."""
         return LineData(int(self.data[pa]))
-
-    def copy_data(self, src: int, dst: int) -> None:
-        """Duplicate stored content ``src`` -> ``dst``, no wear, no latency.
-
-        The sparing layer's salvage step; shared API with
-        :class:`~repro.pcm.sharded.ShardedPCMArray`, whose ``data``
-        property is a read-only copy and cannot be poked directly.
-        """
-        self.data[dst] = self.data[src]
 
     def write(self, pa: int, data: LineData) -> float:
         """Write ``data`` to line ``pa``; return this write's latency in ns.

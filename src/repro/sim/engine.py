@@ -68,6 +68,11 @@ def run_trace(
             controller.write(entry.la, entry.data)
             user_writes += 1
     except LineFailure as failure:
+        # The array keeps the failure as ``first_failure``; dropping the
+        # traceback breaks the array -> failure -> frames -> array cycle,
+        # so the run's arrays are freed by reference counting instead of
+        # lingering until the next full garbage collection.
+        failure.__traceback__ = None
         return SimulationResult(
             user_writes=user_writes + 1,
             total_writes=controller.total_writes,
@@ -138,6 +143,7 @@ def run_trace_fast(
             if max_writes is not None and user_writes >= max_writes:
                 break
     except LineFailure as failure:
+        failure.__traceback__ = None  # see run_trace
         completed = failure.chunk_index if failure.chunk_index is not None else 0
         return SimulationResult(
             user_writes=user_writes + completed + 1,

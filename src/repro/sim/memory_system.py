@@ -9,14 +9,13 @@ latency to the request which happens just following the remapping".
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.config import PCMConfig
 from repro.pcm.array import PCMArray
 from repro.pcm.health import DeviceHealth
-from repro.pcm.sharded import ShardedPCMArray
 from repro.pcm.timing import LineData
 from repro.util.rng import SeedLike
 from repro.wearlevel.base import CopyMove, SwapMove, WearLeveler
@@ -36,12 +35,10 @@ class MemoryController:
         Forwarded to :class:`~repro.pcm.array.PCMArray`; when True (default)
         the first worn-out line raises
         :class:`~repro.pcm.array.LineFailure`, ending a lifetime experiment.
-    n_shards / memmap_dir:
-        When ``n_shards`` is set the physical substrate is a
-        :class:`~repro.pcm.sharded.ShardedPCMArray` (per-sub-region banks,
-        optionally memmap-backed under ``memmap_dir``) so paper-scale
-        devices no longer need one resident allocation.  Incompatible with
-        ``endurance_variation`` and fault injection.
+    memmap_dir:
+        Forwarded to :class:`~repro.pcm.array.PCMArray`: when set the
+        array's per-line wear and data live in ``np.memmap`` files under
+        this directory, so paper-scale devices need not fit in RAM.
     """
 
     def __init__(
@@ -53,7 +50,6 @@ class MemoryController:
         endurance_variation: float = 0.0,
         rng: SeedLike = None,
         fault_rng: SeedLike = None,
-        n_shards: Optional[int] = None,
         memmap_dir: Optional[str] = None,
     ) -> None:
         if scheme.n_lines != config.n_lines:
@@ -63,31 +59,16 @@ class MemoryController:
             )
         self.scheme = scheme
         self.config = config
-        self.array: Union[PCMArray, ShardedPCMArray]
-        if n_shards is not None:
-            if endurance_variation > 0:
-                raise ValueError(
-                    "endurance_variation is not supported with a sharded "
-                    "array (per-line endurance maps do not shard)"
-                )
-            self.array = ShardedPCMArray(
-                config,
-                n_physical=scheme.n_physical,
-                initial_data=initial_data,
-                raise_on_failure=raise_on_failure,
-                n_shards=n_shards,
-                memmap_dir=memmap_dir,
-            )
-        else:
-            self.array = PCMArray(
-                config,
-                n_physical=scheme.n_physical,
-                initial_data=initial_data,
-                raise_on_failure=raise_on_failure,
-                endurance_variation=endurance_variation,
-                rng=rng,
-                fault_rng=fault_rng,
-            )
+        self.array = PCMArray(
+            config,
+            n_physical=scheme.n_physical,
+            initial_data=initial_data,
+            raise_on_failure=raise_on_failure,
+            endurance_variation=endurance_variation,
+            rng=rng,
+            fault_rng=fault_rng,
+            memmap_dir=memmap_dir,
+        )
 
     # ----------------------------------------------------------------- API
 

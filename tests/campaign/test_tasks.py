@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.campaign.aggregate import aggregate, to_json
@@ -14,6 +15,7 @@ from repro.campaign.tasks import (
     run_trace_lifetime_task,
     task_kinds,
 )
+from repro.pcm.array import PCMArray
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -51,6 +53,27 @@ class TestTraceLifetimeTask:
         round_tripped = json.loads(json.dumps(result))
         assert round_tripped["failed"] is True
         assert round_tripped["write_amplification"] == 1.0
+
+    def test_memmap_dir_alone_backs_the_array(self, tmp_path, monkeypatch):
+        """``memmap_dir`` needs no ``n_shards``: the array really is mapped
+        and the document is the in-RAM one."""
+        built = []
+        init = PCMArray.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(PCMArray, "__init__", spy)
+        params = {"scheme": "rbsg", "trace": "uniform", "lines": 256,
+                  "endurance": 300, "fast_forward": "analytic"}
+        mapped = run_trace_lifetime_task(
+            {**params, "memmap_dir": str(tmp_path)}, seed=4
+        )
+        assert isinstance(built[0].wear, np.memmap)
+        assert isinstance(built[0].data, np.memmap)
+        assert mapped == run_trace_lifetime_task(params, seed=4)
+        assert not isinstance(built[1].wear, np.memmap)
 
     def test_unknown_trace_kind_rejected(self):
         with pytest.raises(TaskError, match="unknown trace kind"):

@@ -133,16 +133,14 @@ class TestPaperScaleLifetime:
         assert bare["user_writes"] == payload["user_writes"]
         assert bare["wear_gini"] == payload["wear_gini"]  # spare tail excluded
 
-    def test_deterministic_and_sharded_identical(self, capsys):
+    def test_deterministic_and_memmap_identical(self, capsys, tmp_path):
         assert main(self.ARGS + ["--json"]) == 0
         first = capsys.readouterr().out
         assert main(self.ARGS + ["--json"]) == 0
         assert capsys.readouterr().out == first
-        assert main(self.ARGS + ["--shards", "4", "--json"]) == 0
-        sharded = json.loads(capsys.readouterr().out)
-        mono = json.loads(first)
-        assert sharded.pop("n_shards") == 4 and mono.pop("n_shards") == 0
-        assert sharded == mono
+        assert main(self.ARGS + ["--memmap-dir", str(tmp_path),
+                                 "--json"]) == 0
+        assert capsys.readouterr().out == first
 
     def test_text_report(self, capsys):
         assert main(self.ARGS) == 0

@@ -1,9 +1,12 @@
 """Tests for the exact per-write simulation driver."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import PCMConfig
-from repro.sim.engine import run_trace
+from repro.sim.engine import run_trace, run_trace_fast
 from repro.sim.memory_system import MemoryController
 from repro.sim.trace import TraceEntry, TraceSpec
 from repro.wearlevel.nowl import NoWearLeveling
@@ -67,3 +70,19 @@ class TestRunTrace:
             results.append(run_trace(make_controller(), trace))
         assert results[0] == results[1]
         assert results[0].user_writes == 20
+
+
+class TestFailedRunIsFreed:
+    @pytest.mark.parametrize("driver", [run_trace, run_trace_fast])
+    def test_no_reference_cycle_keeps_the_array(self, driver):
+        """The array keeps its first failure; the failure must not keep
+        the array, or a finished run's arrays wait for a full GC."""
+        gc.disable()
+        try:
+            controller = make_controller(endurance=10)
+            assert driver(controller, hammer(4, n_writes=100)).failed
+            array = weakref.ref(controller.array)
+            del controller
+            assert array() is None
+        finally:
+            gc.enable()
