@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-fast bench-ff examples smoke faults-smoke campaign-smoke chaos-smoke trace-smoke lint lint-flow lint-changed lint-timing src-delta clean
+.PHONY: install test bench bench-fast bench-ff bench-identity examples smoke faults-smoke campaign-smoke chaos-smoke trace-smoke lint lint-flow lint-changed lint-timing src-delta clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -23,6 +23,27 @@ bench-fast:
 bench-ff:
 	PYTHONPATH=src python -m pytest benchmarks/test_fastforward_throughput.py -q -s
 	@test -s BENCH_10.json && echo "bench-ff: OK"
+
+# Speed-only check: one traced batch of each perfbench workload on this
+# tree and on BASE (default origin/main, checked out as a worktree under
+# build/) must simulate the same thing -- perfbench/compare.py prints
+# nothing and exits 0 for every workload.
+BENCH_IDENTITY_DIR = build/bench-identity
+
+bench-identity:
+	rm -rf $(BENCH_IDENTITY_DIR)
+	git worktree prune
+	git worktree add --detach $(BENCH_IDENTITY_DIR)/base $(or $(BASE),origin/main)
+	out=$(CURDIR)/$(BENCH_IDENTITY_DIR); status=0; \
+	for w in ff-lifetime tenant-replay rta-rbsg; do \
+		run="perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 1"; \
+		(cd $$out/base && python3 $$run --out $$out/$$w-base.json > /dev/null) \
+		&& python3 $$run --out $$out/$$w-head.json > /dev/null \
+		&& python3 perfbench/compare.py $$out/$$w-base.json $$out/$$w-head.json \
+		|| status=1; \
+	done; \
+	git worktree remove --force $(BENCH_IDENTITY_DIR)/base; \
+	exit $$status
 
 examples:
 	for f in examples/*.py; do echo "== $$f =="; python $$f || exit 1; done

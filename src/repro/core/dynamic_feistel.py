@@ -47,6 +47,17 @@ swap), and the paper's Fig. 10 translation rule is preserved, extended by
 one register pair: the *displaced* line of an in-progress swap chain reads
 from the chain's pivot slot (the analogue of the parked line reading from
 the spare).
+
+**Translation table.**  Between remap triggers the LA → IA mapping is
+constant, and each trigger moves at most two lines, so translation is a
+gather from one live ``int32`` table ``_ia[la]`` instead of a cipher pass
+per address.  The table is filled from the Fig. 10 rule on first use and
+then kept current by :meth:`DynamicFeistelMapper.step`: a remapped line
+gets its new home, the parked line the spare, the displaced line the
+pivot.  At a round boundary every line sits at ``ENC_Kc(la)``, which is
+the next round's ``ENC_Kp(la)``, so the key rotation leaves it valid;
+:meth:`DynamicFeistelMapper.advance_rounds` skips the walk and marks it
+stale, to be refilled on the next translation.
 """
 
 from __future__ import annotations
@@ -55,10 +66,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.feistel import FeistelNetwork
+from repro.core.feistel import FeistelNetwork, translation_table
 from repro.util.bitops import bit_length_exact
 from repro.util.rng import SeedLike, as_generator
 from repro.wearlevel.base import CopyMove, Move, SwapMove
+
+#: Lines probed by :meth:`DynamicFeistelMapper.fixed_point_fraction`.
+FIXED_POINT_SAMPLE = 1 << 16
 
 
 class DynamicFeistelMapper:
@@ -96,6 +110,14 @@ class DynamicFeistelMapper:
         self.displaced_slot: Optional[int] = None
         self.round_count = 0
         self.total_movements = 0
+        # Live LA -> IA table, filled on first translate.  Its storage is
+        # taken here, next to the mapper's other arrays: allocated among
+        # a run's temporaries instead, it fragments the heap of a process
+        # that builds many mappers in turn.
+        self._ia = np.empty(n_lines, dtype=np.int32)
+        self._ia_live = False
+        # Fixed-point fraction of the current key pair (derived state).
+        self._fixed_fraction: Optional[float] = None
 
     # ------------------------------------------------------------- mapping
 
@@ -108,40 +130,35 @@ class DynamicFeistelMapper:
         """LA → IA slot under the current remapping state (Fig. 10)."""
         if not 0 <= la < self.n_lines:
             raise ValueError(f"address {la} outside [0, {self.n_lines})")
-        if self.is_remapped[la]:
-            return int(self.feistel_c.encrypt(la))
-        if la == self.parked_la:
-            return self.spare_slot
-        if la == self.displaced_la:
-            return self.displaced_slot
-        return int(self.feistel_p.encrypt(la))
+        return int(self._table()[la])
 
     def translate_many(self, las: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`translate` (bounds are the caller's problem).
+        """Vectorized :meth:`translate` (bounds are the caller's problem)."""
+        return self._table()[las].astype(np.int64)
+
+    def _table(self) -> np.ndarray:
+        """The live LA → IA table, filled from the Fig. 10 rule if stale.
 
         The parked and displaced lines are never marked remapped while
-        their registers are live, so the two patches below never collide
-        with the ``is_remapped`` branch.
+        their registers are live, so patching their slots in after the
+        ``is_remapped`` pass never overrides a remapped line.
         """
-        las = np.asarray(las, dtype=np.int64)
-        u64 = las.astype(np.uint64)
-        remapped = self.is_remapped[las]
-        out = np.empty(las.size, dtype=np.int64)
-        if remapped.all():  # common case (boot state, round just ended)
-            out[:] = np.asarray(self.feistel_c.encrypt(u64)).astype(np.int64)
-        else:
-            out[remapped] = np.asarray(
-                self.feistel_c.encrypt(u64[remapped])
-            ).astype(np.int64)
-            old = ~remapped
-            out[old] = np.asarray(self.feistel_p.encrypt(u64[old])).astype(
-                np.int64
-            )
-        if self.parked_la is not None:
-            out[las == self.parked_la] = self.spare_slot
-        if self.displaced_la is not None:
-            out[las == self.displaced_la] = self.displaced_slot
-        return out
+        if not self._ia_live:
+            translation_table(self._keyed_slots, self._ia)
+            if self.parked_la is not None:
+                self._ia[self.parked_la] = self.spare_slot
+            if self.displaced_la is not None:
+                self._ia[self.displaced_la] = self.displaced_slot
+            self._ia_live = True
+        return self._ia
+
+    def _keyed_slots(self, las: np.ndarray) -> np.ndarray:
+        """``ENC_Kc`` for remapped lines, ``ENC_Kp`` for the rest."""
+        slots = np.asarray(self.feistel_c.encrypt(las))
+        old = ~self.is_remapped[las]
+        if old.any():
+            slots[old] = self.feistel_p.encrypt(las[old])
+        return slots
 
     def round_complete(self) -> bool:
         """True when every line has been remapped in the current round."""
@@ -164,6 +181,8 @@ class DynamicFeistelMapper:
             self.feistel_p = self.feistel_c
             self.feistel_c = self.feistel_c.rekeyed(self._rng)
         if rounds:
+            self._ia_live = False
+            self._fixed_fraction = None
             self.is_remapped[:] = True
             self._n_remapped = self.n_lines
             self.gap = self.n_lines
@@ -172,19 +191,25 @@ class DynamicFeistelMapper:
             self.displaced_slot = None
             self.round_count += rounds
 
-    def fixed_point_fraction(self, sample: int = 1 << 16) -> float:
+    def fixed_point_fraction(self) -> float:
         """Fraction of lines mapped identically by the old and new keys.
 
         Fixed points of ``σ = ENC_Kc ∘ DEC_Kp`` remap for free (no data
         movement); the cubing-Feistel composition makes them common, so
-        the analytic movement-wear model measures the fraction on a
-        sample of the current key pair as its per-round representative.
+        the analytic movement-wear model measures the fraction on the
+        first :data:`FIXED_POINT_SAMPLE` lines under the current key pair
+        as its per-round representative.  The value is kept until the
+        keys rotate.
         """
-        probe = np.arange(min(self.n_lines, sample), dtype=np.uint64)
-        same = np.asarray(self.feistel_c.encrypt(probe)) == np.asarray(
-            self.feistel_p.encrypt(probe)
-        )
-        return float(same.mean())
+        if self._fixed_fraction is None:
+            probe = np.arange(
+                min(self.n_lines, FIXED_POINT_SAMPLE), dtype=np.uint64
+            )
+            same = np.asarray(self.feistel_c.encrypt(probe)) == np.asarray(
+                self.feistel_p.encrypt(probe)
+            )
+            self._fixed_fraction = float(same.mean())
+        return self._fixed_fraction
 
     # ------------------------------------------------------------ movement
 
@@ -207,9 +232,14 @@ class DynamicFeistelMapper:
     # ---- round start + first cycle: the paper's spare-parked gap walk ----
 
     def _begin_round(self) -> Optional[Move]:
-        """Rotate keys, clear isRemap, start with slot 0's resident line."""
+        """Rotate keys, clear isRemap, start with slot 0's resident line.
+
+        The translation table stays as it is: every line sits at its
+        ``ENC_Kc`` slot, which is the new ``ENC_Kp``.
+        """
         self.feistel_p = self.feistel_c
         self.feistel_c = self.feistel_c.rekeyed(self._rng)
+        self._fixed_fraction = None
         self.is_remapped[:] = False
         self._n_remapped = 0
         self.round_count += 1
@@ -217,9 +247,10 @@ class DynamicFeistelMapper:
         # per Fig. 9 — unless slot 0's resident is a fixed point.
         la = int(self.feistel_p.decrypt(0))
         if int(self.feistel_c.encrypt(la)) == 0:
-            self._mark(la)
+            self._mark(la, 0)
             return None
         self.parked_la = la
+        self._place(la, self.spare_slot)
         self.gap = 0
         return CopyMove(src=0, dst=self.spare_slot)
 
@@ -234,7 +265,7 @@ class DynamicFeistelMapper:
         else:
             src = int(self.feistel_p.encrypt(loc))
             self.gap = src
-        self._mark(loc)
+        self._mark(loc, dst)
         return CopyMove(src=src, dst=dst)
 
     # ---- further cycles: swap-chain rotation, no spare involvement -------
@@ -245,7 +276,7 @@ class DynamicFeistelMapper:
         new_home = int(self.feistel_c.encrypt(la))
         if new_home == old_home:
             # Fixed point: already home under the new keys; no movement.
-            self._mark(la)
+            self._mark(la, new_home)
             return None
         return self._swap_from_pivot(pivot=old_home, la=la, target=new_home)
 
@@ -263,21 +294,29 @@ class DynamicFeistelMapper:
         received becomes the displaced line — unless the pivot happens to
         *be* its new home, which closes the cycle.
         """
-        self._mark(la)
+        self._mark(la, target)
         displaced = int(self.feistel_p.decrypt(target))
         if int(self.feistel_c.encrypt(displaced)) == pivot:
             # The incoming data lands exactly at its own new home.
-            self._mark(displaced)
+            self._mark(displaced, pivot)
             self.displaced_la = None
             self.displaced_slot = None
         else:
             self.displaced_la = displaced
             self.displaced_slot = pivot
+            self._place(displaced, pivot)
         return SwapMove(pa_a=pivot, pa_b=target)
 
-    def _mark(self, la: int) -> None:
+    def _mark(self, la: int, home: int) -> None:
+        """Line ``la`` is remapped; its data now sits in slot ``home``."""
         self.is_remapped[la] = True
         self._n_remapped += 1
+        self._place(la, home)
+
+    def _place(self, la: int, slot: int) -> None:
+        """Record in the live table (if filled) that ``la`` reads ``slot``."""
+        if self._ia_live:
+            self._ia[la] = slot
 
     def _lowest_unremapped(self) -> int:
         return int(np.argmin(self.is_remapped))
@@ -286,4 +325,4 @@ class DynamicFeistelMapper:
 
     def mapping_snapshot(self) -> List[int]:
         """Full LA → slot table (tests / small domains)."""
-        return [self.translate(la) for la in range(self.n_lines)]
+        return self._table().tolist()

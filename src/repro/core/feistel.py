@@ -22,7 +22,7 @@ use to randomize whole windows of addresses per remapping round.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +32,26 @@ from repro.util.rng import SeedLike, as_generator
 IntOrArray = Union[int, np.ndarray]
 
 _U64 = np.uint64
+
+#: Addresses per block when :func:`translation_table` is filled, so the
+#: cipher's ``uint64`` temporaries stay small next to the table itself.
+TABLE_BLOCK = 1 << 14
+
+
+def translation_table(
+    translate: Callable[[np.ndarray], IntOrArray], table: np.ndarray
+) -> np.ndarray:
+    """Fill ``table[a] = translate(a)`` for every address ``a``; return it.
+
+    ``translate`` maps a block of ``uint64`` addresses to their slots;
+    the table is filled one :data:`TABLE_BLOCK` at a time, so filling
+    it costs a few blocks of temporaries on top of the table.
+    """
+    n = table.size
+    for lo in range(0, n, TABLE_BLOCK):
+        block = np.arange(lo, min(n, lo + TABLE_BLOCK), dtype=_U64)
+        table[lo : lo + block.size] = translate(block)
+    return table
 
 
 def _cube_mod(x: int, modmask: int) -> int:
@@ -188,8 +208,10 @@ class FeistelNetwork:
         return self._decrypt_scalar(int(y))
 
     def permutation(self) -> np.ndarray:
-        """Materialize the full permutation table (tests / small domains)."""
-        return self.encrypt(np.arange(self.domain, dtype=_U64)).astype(np.int64)
+        """Materialize the full permutation as an ``int32`` table."""
+        return translation_table(
+            self.encrypt, np.empty(self.domain, dtype=np.int32)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (

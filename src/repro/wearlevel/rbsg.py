@@ -84,6 +84,8 @@ class RegionBasedStartGap(RegionPartitionedScheme):
             self._randomizer = None
         else:
             raise ValueError(f"unknown randomizer {randomizer!r}")
+        # The randomizer's LA -> IA table, materialised on first use.
+        self._ia: Optional[np.ndarray] = None
         self.regions = [
             StartGapRegion(self.region_size, remap_interval)
             for _ in range(n_regions)
@@ -91,11 +93,18 @@ class RegionBasedStartGap(RegionPartitionedScheme):
 
     # ------------------------------------------------------------- mapping
 
+    def _table(self) -> np.ndarray:
+        assert self._randomizer is not None
+        if self._ia is None:
+            self._ia = self._randomizer.permutation()
+        return self._ia
+
     def randomize(self, la: int) -> int:
         """Static LA → IA mapping (fixed at boot)."""
         if self._randomizer is None:
             return la
-        return int(self._randomizer.encrypt(la))
+        self._check_la(la)
+        return int(self._table()[la])
 
     def derandomize(self, ia: int) -> int:
         """Inverse IA → LA mapping."""
@@ -107,8 +116,7 @@ class RegionBasedStartGap(RegionPartitionedScheme):
         """Vectorized static LA → IA mapping."""
         if self._randomizer is None:
             return np.asarray(las, dtype=np.int64)
-        out = self._randomizer.encrypt(np.asarray(las, dtype=np.uint64))
-        return np.asarray(out).astype(np.int64)
+        return self._table()[las].astype(np.int64)
 
     def _outer_ia(self, la: int) -> int:
         return self.randomize(la)

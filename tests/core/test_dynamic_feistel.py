@@ -4,7 +4,11 @@ The load-bearing invariant: at *every* point of the gap walk, the algebraic
 translation (Kc/Kp selected by the isRemap bit, park slot for the parked
 line) must agree with where the data actually sits after executing the
 returned copies — checked here against an explicit slot-content shadow.
+The batched translation is also checked against the Fig. 10 rule
+recomputed here from the mapper's registers.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,17 +19,32 @@ from repro.core.dynamic_feistel import DynamicFeistelMapper
 from repro.wearlevel.base import CopyMove, SwapMove
 
 
+def fig10_slots(mapper):
+    """The Fig. 10 rule: ENC_Kc if isRemap else ENC_Kp, registers patched."""
+    las = np.arange(mapper.n_lines, dtype=np.uint64)
+    slots = np.where(
+        mapper.is_remapped,
+        mapper.feistel_c.encrypt(las),
+        mapper.feistel_p.encrypt(las),
+    ).astype(np.int64)
+    if mapper.parked_la is not None:
+        slots[mapper.parked_la] = mapper.spare_slot
+    if mapper.displaced_la is not None:
+        slots[mapper.displaced_la] = mapper.displaced_slot
+    return slots
+
+
 class ShadowMemory:
     """Executes DFN copies on explicit slot contents."""
 
     def __init__(self, n_lines):
-        # Slot i initially holds line i's data (boot state: ENC maps are
-        # equal to the identity only in data terms: slot ENC(la) holds la).
         self.slots = [None] * (n_lines + 1)
 
     def seed(self, mapper):
-        for la in range(mapper.n_lines):
-            self.slots[mapper.translate(la)] = la
+        # From the rule, not from translate, so the mapper's first
+        # translation happens wherever the test first checks it.
+        for la, slot in enumerate(fig10_slots(mapper)):
+            self.slots[slot] = la
 
     def apply(self, move):
         if move is None:
@@ -47,6 +66,8 @@ def check_consistency(mapper, shadow):
         )
         assert slot not in seen
         seen.add(slot)
+    batched = mapper.translate_many(np.arange(mapper.n_lines))
+    np.testing.assert_array_equal(batched, fig10_slots(mapper))
 
 
 class TestBootState:
@@ -65,6 +86,8 @@ class TestBootState:
         mapper = DynamicFeistelMapper(8, rng=0)
         with pytest.raises(ValueError):
             mapper.translate(8)
+        with pytest.raises(ValueError):
+            mapper.translate(-1)
 
 
 class TestRemappingRound:
@@ -200,6 +223,89 @@ class TestParkedLine:
         assert move.dst == mapper.spare_slot
         parked = mapper.parked_la
         assert mapper.translate(parked) == mapper.spare_slot
+
+
+class TestTranslationTable:
+    @pytest.mark.parametrize("register", ["parked_la", "displaced_la"])
+    def test_first_translate_mid_round(self, register):
+        """Nothing is translated until a parked or displaced line is live;
+        translation must then agree with the data, and keep agreeing."""
+        mapper = DynamicFeistelMapper(64, n_stages=3, rng=21)
+        shadow = ShadowMemory(64)
+        shadow.seed(mapper)
+        for _ in range(500):
+            shadow.apply(mapper.step())
+            if getattr(mapper, register) is not None:
+                break
+        assert getattr(mapper, register) is not None
+        check_consistency(mapper, shadow)
+        for _ in range(100):
+            shadow.apply(mapper.step())
+            check_consistency(mapper, shadow)
+
+    def test_translate_after_advance_rounds(self):
+        mapper = DynamicFeistelMapper(64, n_stages=3, rng=22)
+        for _ in range(40):
+            mapper.step()
+        mapper.translate(0)  # first translation mid-round
+        mapper.advance_rounds(2)
+        expected = mapper.feistel_c.encrypt(np.arange(64, dtype=np.uint64))
+        assert mapper.mapping_snapshot() == expected.tolist()
+        # The jump lands on the boundary layout; remapping on from it
+        # must track the data.
+        shadow = ShadowMemory(64)
+        shadow.seed(mapper)
+        check_consistency(mapper, shadow)
+        for _ in range(100):
+            shadow.apply(mapper.step())
+            check_consistency(mapper, shadow)
+
+    def test_first_translate_many_memory(self):
+        """The 2^20-line table is filled blockwise: at most its own 4 B
+        per line plus 2 MiB of temporaries, never whole-domain cipher
+        passes."""
+        n_lines = 1 << 20
+        mapper = DynamicFeistelMapper(n_lines, rng=0)
+        tracemalloc.start()
+        try:
+            mapper.translate_many(np.arange(128, dtype=np.int64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n_lines + (2 << 20)
+
+
+class TestFixedPointFraction:
+    @staticmethod
+    def _rotate(mapper, how):
+        if how == "advance":
+            mapper.advance_rounds(1)
+            return
+        mapper.step()  # begins a round: the keys rotate
+        while not mapper.round_complete():
+            mapper.step()
+
+    @pytest.mark.parametrize("how", ["step", "advance"])
+    def test_value_follows_key_rotation(self, how):
+        """Across rotations the (kept) value equals a first computation on
+        an identically seeded mapper and the fraction of the key pair."""
+        mapper = DynamicFeistelMapper(64, n_stages=2, rng=13)
+        probe = np.arange(64, dtype=np.uint64)
+        values = []
+        for rotations in range(4):
+            twin = DynamicFeistelMapper(64, n_stages=2, rng=13)
+            for _ in range(rotations):
+                self._rotate(twin, how)
+            value = mapper.fixed_point_fraction()
+            assert mapper.fixed_point_fraction() == value
+            assert twin.fixed_point_fraction() == value
+            same = mapper.feistel_c.encrypt(probe) == mapper.feistel_p.encrypt(
+                probe
+            )
+            assert value == float(same.mean())
+            values.append(value)
+            self._rotate(mapper, how)
+        assert len(set(values)) > 1
 
 
 @settings(max_examples=20, deadline=None)

@@ -47,6 +47,14 @@ class TestStaticRandomizer:
         after = [scheme.randomize(la) for la in range(64)]
         assert before == after
 
+    @pytest.mark.parametrize("randomizer", ["feistel", "matrix"])
+    def test_randomize_domain_check(self, randomizer):
+        scheme = RegionBasedStartGap(64, n_regions=4, randomizer=randomizer, rng=6)
+        for la in (-1, 64, -1):  # before and after the first translation
+            with pytest.raises(ValueError):
+                scheme.randomize(la)
+            scheme.randomize(0)
+
     def test_identity_randomizer(self):
         scheme = RegionBasedStartGap(64, n_regions=4, randomizer="identity")
         assert scheme.randomize(37) == 37
